@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_form, entropy, multidim, pde, trinomial, wright_fisher
-from .paths import NumericalError, StepPolicy, set_max_workers
+from .paths import NumericalError, Snapshots, StepPolicy, set_max_workers
 
 
 def _fmt(x) -> str:
@@ -232,10 +232,8 @@ def _cmd_density(args, out):
 def _cmd_density_vs_mc(args, out):
     ens = wright_fisher.simulate_standard_wf(
         args.x0, args.t, args.dt, n_paths=args.paths, seed=args.seed)
-    surv_mask = ens.reduce_paths(
-        lambda blk: np.isnan(blk.absorption_time).astype(float)).astype(bool)
-    finals = ens.reduce_paths(lambda blk: blk.states[:, -1])
-    surv = finals[surv_mask]
+    finals = ens.observe(lambda bs: Snapshots([ens.n_steps], bs))
+    surv = finals[np.isnan(finals[:, 1]), 0]
     n_surv = len(surv)
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     counts, _ = np.histogram(surv, edges)
@@ -519,11 +517,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return ap, subparsers
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill flags still at their parser default from the key=value file."""
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """raw cast as the flag would cast it; ValueError names the key."""
+    key = action.dest
+    if isinstance(action, argparse._StoreTrueAction):
+        if raw.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"config key {key}: {raw!r} is not one of "
+                             f"{', '.join(_TRUE + _FALSE)}")
+        return raw.lower() in _TRUE
+    try:
+        value = action.type(raw) if action.type is not None else raw
+    except (TypeError, ValueError) as exc:
+        name = getattr(action.type, "__name__", "value")
+        raise ValueError(f"config key {key}: {raw!r} is not a valid {name}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key}: {raw!r} is not one of "
+                         f"{', '.join(map(str, action.choices))}")
+    return value
+
+
+def _apply_config(args: argparse.Namespace, actions: dict) -> None:
+    """Fill flags still at their parser default from the key=value file.
+
+    Every key naming a flag of the subcommand is cast and checked as the
+    flag would be, even where an explicit flag then wins.
+    """
     if not args.config:
         return
-    overrides = {}
+    values = {}
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
@@ -532,26 +556,12 @@ def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             k, v = line.split("=", 1)
-            overrides[k.strip().replace("-", "_")] = v.strip()
-    for key, raw in overrides.items():
-        if not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        default = parser_defaults.get(key)
-        if current != default:
-            continue   # explicit flag wins
-        if isinstance(default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(default, int) and default is not None:
-            setattr(args, key, int(raw))
-        elif isinstance(default, float) and default is not None:
-            setattr(args, key, float(raw))
-        else:
-            caster = type(current) if current is not None else str
-            try:
-                setattr(args, key, caster(raw))
-            except (TypeError, ValueError):
-                setattr(args, key, raw)
+            action = actions.get(k.strip().replace("-", "_"))
+            if action is not None:
+                values[action.dest] = _config_value(action, v.strip())
+    for key, value in values.items():
+        if getattr(args, key) == actions[key].default:   # explicit flag wins
+            setattr(args, key, value)
 
 
 def main(argv=None) -> int:
@@ -561,10 +571,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
-    defaults = {a.dest: a.default for a in subparsers[args.command]._actions
-                if a.dest != "help"}
+    actions = {a.dest: a for a in subparsers[args.command]._actions
+               if a.dest != "help"}
     try:
-        _apply_config(args, defaults)
+        _apply_config(args, actions)
         if args.threads is not None:
             set_max_workers(args.threads)
         t_start = time.time()

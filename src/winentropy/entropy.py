@@ -104,16 +104,43 @@ def _step_weights(ens: PathEnsemble, eps: float) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def _per_path_integrals(ens: PathEnsemble, f: Callable, eps: float) -> np.ndarray:
+class _StepSums:
+    """Observer: per-path sums over steps of f(S) * w for each f, in time order.
+
+    Steps past the cutoff (w = 0, a suffix of the grid) are skipped, so an
+    infinite integrand there contributes nothing.  Each step is added on
+    its own, so the sums do not depend on block size or chunk length.
+    """
+
+    def __init__(self, fs, w, bs):
+        self.fs = fs
+        self.w = w
+        self.n_used = int(np.count_nonzero(w > 0))
+        self.acc = np.zeros((len(fs), bs))
+
+    def chunk(self, k0, states, step_variance):
+        k1 = min(k0 + len(step_variance), self.n_used)
+        if k1 <= k0:
+            return
+        sv = step_variance[:k1 - k0]
+        contrib = np.empty((k1 - k0,) + self.acc.shape)
+        for i, f in enumerate(self.fs):
+            np.multiply(f(sv), self.w[k0:k1, None], out=contrib[:, i])
+        for row in contrib:
+            self.acc += row
+
+    def result(self, absorption_time):
+        return self.acc.T
+
+
+def _step_sums(ens: PathEnsemble, fs: Sequence[Callable], eps: float) -> np.ndarray:
+    """(n_paths, len(fs)) per-path integrals of each f(S) up to 1 - eps."""
     w = _step_weights(ens, eps)
+    return ens.observe(lambda bs: _StepSums(fs, w, bs))
 
-    def red(blk):
-        with np.errstate(invalid="ignore"):
-            contrib = f(blk.step_variance) * w
-        # steps past the cutoff contribute nothing, even at inf integrand
-        return np.where(w > 0, contrib, 0.0).sum(axis=1)
 
-    return ens.reduce_paths(red)
+def _per_path_integrals(ens: PathEnsemble, f: Callable, eps: float) -> np.ndarray:
+    return _step_sums(ens, [f], eps)[:, 0]
 
 
 def _mc_estimate(vals: np.ndarray, factor: float, ens, eps, flavor) -> DivergenceEstimate:
@@ -176,19 +203,9 @@ def p_quotient_profile(ens: PathEnsemble, ps: Sequence[float], eps: float | None
     if any(p <= 2.0 for p in ps):
         raise ValueError("difference quotients need p > 2")
     eps = _resolve_eps(ens, eps)
-    w = _step_weights(ens, eps)
-    n_cols = len(ps) + 2  # each p, then int S, then int S log S
-
-    def red(blk):
-        sv = blk.step_variance
-        out = np.empty((sv.shape[0], n_cols))
-        for i, p in enumerate(ps):
-            out[:, i] = (np.power(sv, p / 2.0) * w).sum(axis=1)
-        out[:, -2] = (sv * w).sum(axis=1)
-        out[:, -1] = (xlogx(sv) * w).sum(axis=1)
-        return out
-
-    cols = ens.reduce_paths(red)
+    # each p, then int S, then int S log S
+    fs = [lambda s, q=p / 2.0: np.power(s, q) for p in ps] + [lambda s: s, xlogx]
+    cols = _step_sums(ens, fs, eps)
     n = ens.n_paths
     rows = []
     for i, p in enumerate(ps):

@@ -6,8 +6,14 @@ counter-based generator keyed by (master_seed, path_index), so the same
 seed reproduces the same ensemble bit for bit, no matter how the paths
 are partitioned into blocks or how many worker threads reduce them.
 
-Large ensembles are not held in memory: the ensemble keeps its
-simulation recipe and regenerates path blocks on demand.
+A lazy ensemble holds only its simulation recipe.  A reduction streams
+each block of paths through observers, time-major, one chunk of at most
+CHUNK_STEPS steps at a time: while a block is stepped, the recipe holds
+the block's normals and one chunk of states and step variances, and an
+observer keeps only what it reduces to (per-path sums, snapshots at
+chosen grid nodes).  Full (paths, steps) arrays exist only where a
+caller asks for them: materialize, iter_blocks, path, the exporters and
+user functions given to reduce_paths.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import csv
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -27,6 +33,11 @@ ENSEMBLE_FORMAT_VERSION = 1
 DEFAULT_BLOCK_SIZE = 8192
 # states + step variances above this many elements stay lazy
 DENSE_ELEMENT_LIMIT = 8_000_000
+# a time-major chunk handed to observers spans at most CHUNK_STEPS steps,
+# and fewer in wide blocks, so one chunk buffer holds about CHUNK_ELEMENTS
+# values
+CHUNK_STEPS = 256
+CHUNK_ELEMENTS = 1 << 16
 
 _MAX_WORKERS = None
 
@@ -53,6 +64,8 @@ def get_max_workers() -> int:
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Counter-based RNG stream for one path, keyed by (seed, index)."""
+    if not 0 <= master_seed < (1 << 64):
+        raise ValueError("seed must fit in 64 bits")
     key = np.array([master_seed, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -90,8 +103,8 @@ class StepPolicy:
 
     def time_grid(self, t0: float, t_end: float) -> np.ndarray:
         """Strictly increasing grid from t0 to t_end, final step truncated."""
-        if not t_end > t0:
-            raise ValueError("t_end must exceed t0")
+        if not -np.inf < t0 < t_end < np.inf:
+            raise ValueError("need finite t0 < t_end")
         ts = [t0]
         t = t0
         while True:
@@ -130,13 +143,69 @@ class _Block:
     absorption_time: np.ndarray  # (bs,), NaN when never absorbed
 
 
+# Observers.  A block of paths reaches an observer as consecutive chunks
+# in time order: chunk(k0, states, step_variance) gets the states at grid
+# nodes k0..k0+T as a (T+1, bs) array and the variances of steps
+# k0..k0+T-1 as a (T, bs) array, both buffers the caller reuses.  Then
+# result(absorption_time) returns the block's rows, one per path.
+
+class Snapshots:
+    """States at chosen grid nodes, then the absorption time: (bs, len(nodes)+1)."""
+
+    def __init__(self, nodes, bs: int):
+        self.nodes = [int(k) for k in nodes]
+        self.values = np.empty((bs, len(self.nodes) + 1))
+
+    def chunk(self, k0, states, step_variance):
+        for j, k in enumerate(self.nodes):
+            if k0 <= k < k0 + len(states):
+                self.values[:, j] = states[k - k0]
+
+    def result(self, absorption_time):
+        self.values[:, -1] = absorption_time
+        return self.values
+
+
+class _Store:
+    """Copies every chunk into (bs, n_times) and (bs, n_steps) arrays."""
+
+    def __init__(self, states, step_variance):
+        self.states = states
+        self.step_variance = step_variance
+
+    def chunk(self, k0, states, step_variance):
+        self.states[:, k0:k0 + len(states)] = states.T
+        self.step_variance[:, k0:k0 + len(step_variance)] = step_variance.T
+
+
+def chunk_steps(bs: int, n_steps: int) -> int:
+    """Steps per time-major chunk for a block of bs paths."""
+    return max(1, min(CHUNK_STEPS, CHUNK_ELEMENTS // bs, n_steps))
+
+
+def _feed_arrays(states, step_variance, observers) -> None:
+    """Hand a (bs, n_times) block to observers in time-major chunks."""
+    bs, n_steps = step_variance.shape
+    t_chunk = chunk_steps(bs, n_steps)
+    for k0 in range(0, n_steps, t_chunk):
+        k1 = min(k0 + t_chunk, n_steps)
+        st = np.ascontiguousarray(states[:, k0:k1 + 1].T)
+        sv = np.ascontiguousarray(step_variance[:, k0:k1].T)
+        for obs in observers:
+            obs.chunk(k0, st, sv)
+
+
 class PathEnsemble:
     """A seeded collection of sample paths sharing one time grid.
 
     Either fully materialized (states/step_variance arrays present) or
-    lazy (a block_fn regenerates any contiguous block of paths).  All
-    reductions are computed per path and assembled in path order, so
-    results do not depend on block size or thread count.
+    lazy.  A lazy ensemble's block_fn either maps (lo, hi) to that
+    block's (states, step_variance, absorption_time) arrays, or is a
+    streaming recipe: an object whose stream(lo, hi, observers) steps
+    the block, hands it to the observers chunk by chunk and returns the
+    absorption times.  All reductions are computed per path and
+    assembled in path order, so results do not depend on block size,
+    chunk length, storage or thread count.
     """
 
     def __init__(self, times, n_paths, master_seed, scheme, x0, t0, eps,
@@ -197,54 +266,87 @@ class PathEnsemble:
     # -- block access ----------------------------------------------------
 
     def _default_block_size(self) -> int:
-        # keep one regenerated block near or below ~256 MB of doubles
+        # keep one block's normals near or below ~256 MB of doubles
         cap = int(33_000_000 // max(1, self.n_steps))
         return max(256, min(DEFAULT_BLOCK_SIZE, cap))
 
-    def iter_blocks(self, block_size: Optional[int] = None) -> Iterator[_Block]:
+    def _ranges(self, block_size: Optional[int]) -> list:
         block_size = block_size or self._default_block_size()
-        for lo in range(0, self.n_paths, block_size):
-            hi = min(lo + block_size, self.n_paths)
-            yield self._get_block(lo, hi)
+        return [(lo, min(lo + block_size, self.n_paths))
+                for lo in range(0, self.n_paths, block_size)]
+
+    def _stream(self, lo: int, hi: int, observers) -> np.ndarray:
+        """Hand paths lo..hi-1 to observers; returns their absorption times."""
+        if self._states is None and hasattr(self._block_fn, "stream"):
+            return self._block_fn.stream(lo, hi, observers)
+        blk = self._get_block(lo, hi)
+        _feed_arrays(blk.states, blk.step_variance, observers)
+        return blk.absorption_time
 
     def _get_block(self, lo: int, hi: int) -> _Block:
         if self.is_materialized:
             return _Block(lo, hi, self._states[lo:hi],
                           self._step_variance[lo:hi],
                           self._absorption_time[lo:hi])
+        if hasattr(self._block_fn, "stream"):
+            store = _Store(np.empty((hi - lo, self.n_times)),
+                           np.empty((hi - lo, self.n_steps)))
+            abst = self._block_fn.stream(lo, hi, [store])
+            return _Block(lo, hi, store.states, store.step_variance, abst)
         states, stepvar, abst = self._block_fn(lo, hi)
         return _Block(lo, hi, states, stepvar, abst)
 
-    def reduce_paths(self, fn: Callable[[_Block], np.ndarray],
-                     block_size: Optional[int] = None) -> np.ndarray:
-        """Apply fn to each block, assembling one row per path.
+    def iter_blocks(self, block_size: Optional[int] = None) -> Iterator[_Block]:
+        for lo, hi in self._ranges(block_size):
+            yield self._get_block(lo, hi)
 
-        fn returns an array whose leading axis is the block's path axis.
+    def _map_blocks(self, work: Callable[[int, int], np.ndarray],
+                    block_size: Optional[int]) -> np.ndarray:
+        """work(lo, hi) for every block, assembled into one row per path.
+
         Output slots are preassigned per path, so scheduling cannot
         change the result.
         """
-        block_size = block_size or self._default_block_size()
-        ranges = [(lo, min(lo + block_size, self.n_paths))
-                  for lo in range(0, self.n_paths, block_size)]
-        first = fn(self._get_block(*ranges[0]))
-        first = np.asarray(first)
-        out_shape = (self.n_paths,) + first.shape[1:]
-        out = np.empty(out_shape, dtype=first.dtype)
+        ranges = self._ranges(block_size)
+        first = np.asarray(work(*ranges[0]))
+        out = np.empty((self.n_paths,) + first.shape[1:], dtype=first.dtype)
         out[ranges[0][0]:ranges[0][1]] = first
         rest = ranges[1:]
         workers = get_max_workers()
 
-        def work(rng):
+        def fill(rng):
             lo, hi = rng
-            out[lo:hi] = fn(self._get_block(lo, hi))
+            out[lo:hi] = work(lo, hi)
 
         if workers > 1 and len(rest) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(work, rest))
+                list(pool.map(fill, rest))
         else:
             for rng in rest:
-                work(rng)
+                fill(rng)
         return out
+
+    def reduce_paths(self, fn: Callable[[_Block], np.ndarray],
+                     block_size: Optional[int] = None) -> np.ndarray:
+        """Apply fn to each full block, assembling one row per path.
+
+        fn returns an array whose leading axis is the block's path axis.
+        """
+        return self._map_blocks(lambda lo, hi: fn(self._get_block(lo, hi)),
+                                block_size)
+
+    def observe(self, make_observer: Callable[[int], object],
+                block_size: Optional[int] = None) -> np.ndarray:
+        """Stream every block through make_observer(bs); one result row per path.
+
+        Blocks of a streaming recipe are never stored whole; blocks of
+        arrays are fed to the observer from time-major slices.
+        """
+        def work(lo, hi):
+            obs = make_observer(hi - lo)
+            return obs.result(self._stream(lo, hi, [obs]))
+
+        return self._map_blocks(work, block_size)
 
     def path(self, i: int) -> SamplePath:
         if not (0 <= i < self.n_paths):
@@ -264,10 +366,9 @@ class PathEnsemble:
         states = np.empty((self.n_paths, self.n_times))
         stepvar = np.empty((self.n_paths, self.n_steps))
         abst = np.empty(self.n_paths)
-        for blk in self.iter_blocks():
-            states[blk.lo:blk.hi] = blk.states
-            stepvar[blk.lo:blk.hi] = blk.step_variance
-            abst[blk.lo:blk.hi] = blk.absorption_time
+        for lo, hi in self._ranges(None):
+            abst[lo:hi] = self._stream(
+                lo, hi, [_Store(states[lo:hi], stepvar[lo:hi])])
         self._states = states
         self._step_variance = stepvar
         self._absorption_time = abst
@@ -329,43 +430,61 @@ class PathEnsemble:
         x0s = float(self.x0) if np.isscalar(self.x0) or np.ndim(self.x0) == 0 \
             else float(np.asarray(self.x0).ravel()[0])
         scheme_b = self.scheme.encode("utf-8")
+        rec = _record_dtype(self.n_times)
         with open(path, "wb") as fh:
-            fh.write(ENSEMBLE_MAGIC)
-            fh.write(struct.pack("<III", ENSEMBLE_FORMAT_VERSION,
-                                 self.n_paths, self.n_times))
-            fh.write(struct.pack("<Qddd", self.master_seed % (1 << 64),
-                                 x0s, self.t0, self.eps))
-            fh.write(struct.pack("<I", len(scheme_b)))
+            fh.write(_HEADER.pack(ENSEMBLE_MAGIC, ENSEMBLE_FORMAT_VERSION,
+                                  self.n_paths, self.n_times,
+                                  self.master_seed % (1 << 64), x0s, self.t0,
+                                  self.eps, len(scheme_b)))
             fh.write(scheme_b)
             fh.write(self.times.astype("<f8").tobytes())
             for blk in self.iter_blocks():
-                for j in range(blk.hi - blk.lo):
-                    fh.write(blk.states[j].astype("<f8").tobytes())
-                    fh.write(blk.step_variance[j].astype("<f8").tobytes())
-                    fh.write(struct.pack("<d", blk.absorption_time[j]))
+                out = np.empty(blk.hi - blk.lo, dtype=rec)
+                out["states"] = blk.states
+                out["step_variance"] = blk.step_variance
+                out["absorption"] = blk.absorption_time
+                out.tofile(fh)
 
     @classmethod
     def from_binary(cls, path) -> "PathEnsemble":
+        """Read a to_binary file; ValueError if it is not one, or is cut short."""
         with open(path, "rb") as fh:
-            magic = fh.read(4)
+            size = os.fstat(fh.fileno()).st_size
+            if size < _HEADER.size:
+                raise ValueError(f"ensemble file truncated: {size} bytes, "
+                                 f"shorter than the {_HEADER.size}-byte header")
+            (magic, version, n_paths, n_times, seed, x0, t0, eps,
+             slen) = _HEADER.unpack(fh.read(_HEADER.size))
             if magic != ENSEMBLE_MAGIC:
                 raise ValueError("not an ensemble file (bad magic)")
-            version, n_paths, n_times = struct.unpack("<III", fh.read(12))
             if version != ENSEMBLE_FORMAT_VERSION:
                 raise ValueError(f"unsupported ensemble format version {version}")
-            seed, x0, t0, eps = struct.unpack("<Qddd", fh.read(32))
-            (slen,) = struct.unpack("<I", fh.read(4))
+            if n_paths < 1 or n_times < 2:
+                raise ValueError(f"ensemble header declares {n_paths} paths and "
+                                 f"{n_times} times; need at least 1 and 2")
+            expect = _HEADER.size + slen + 8 * n_times + n_paths * 16 * n_times
+            if size != expect:
+                raise ValueError(
+                    f"ensemble file is {size} bytes, but its header "
+                    f"({n_paths} paths x {n_times} times) implies {expect}: "
+                    + ("truncated" if size < expect else "trailing bytes"))
             scheme = fh.read(slen).decode("utf-8")
-            times = np.frombuffer(fh.read(8 * n_times), dtype="<f8").copy()
-            states = np.empty((n_paths, n_times))
-            stepvar = np.empty((n_paths, n_times - 1))
-            abst = np.empty(n_paths)
-            for j in range(n_paths):
-                states[j] = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
-                stepvar[j] = np.frombuffer(fh.read(8 * (n_times - 1)), dtype="<f8")
-                (abst[j],) = struct.unpack("<d", fh.read(8))
+            times = np.fromfile(fh, dtype="<f8", count=n_times)
+            rec = np.fromfile(fh, dtype=_record_dtype(n_times), count=n_paths)
         return cls(times, n_paths, seed, scheme, x0, t0, eps,
-                   states=states, step_variance=stepvar, absorption_time=abst)
+                   states=rec["states"], step_variance=rec["step_variance"],
+                   absorption_time=rec["absorption"])
+
+
+# magic, version, n_paths, n_times, master_seed, x0, t0, eps, scheme length
+_HEADER = struct.Struct("<4sIIIQdddI")
+
+
+def _record_dtype(n_times: int) -> np.dtype:
+    """One path of the binary payload."""
+    return np.dtype([("states", "<f8", (n_times,)),
+                     ("step_variance", "<f8", (n_times - 1,)),
+                     ("absorption", "<f8")])
 
 
 def constant_variance_ensemble(sigma_sq, n_steps=100, n_paths=4,

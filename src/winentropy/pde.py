@@ -140,6 +140,8 @@ class DpSpec:
         The optimal squared volatility is at most 0.25/eps on the
         domain; sigma_cap defaults to 0.3/eps for headroom.
         """
+        if not 0.0 < eps < 0.5:
+            raise ValueError("eps must lie in (0, 0.5)")
         if sigma_cap is None:
             sigma_cap = 0.3 / eps
         dx2 = (1.0 / n_x) ** 2

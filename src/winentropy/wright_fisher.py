@@ -7,9 +7,9 @@ S_t = X(1-X)/(1-t) is itself a martingale.  The standard diffusion
     dX = sqrt( X(1-X) ) dB  on [0, inf)
 is its image under the clock change s(t) = 1 - exp(-t).
 
-Scheme: Euler-Maruyama with full truncation (the diffusion coefficient
-uses max(x(1-x), 0)), states clamped to [0,1] after each step, and
-states within absorb_tol of a boundary snapped there and frozen.  The
+Scheme: Euler-Maruyama with states clamped to [0,1] after each step (so
+the diffusion coefficient x(1-x) never turns negative), and states
+within absorb_tol of a boundary snapped there and frozen.  The
 weak bias is O(dt) and is absorbed into the acceptance tolerances.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .entropy import DivergenceEstimate, _mc_estimate, _per_path_integrals, xlogx
 from .paths import (DENSE_ELEMENT_LIMIT, NumericalError, PathEnsemble,
-                    StepPolicy, draw_block_normals)
+                    Snapshots, StepPolicy, chunk_steps, draw_block_normals)
 
 DEFAULT_ABSORB_TOL = 1e-6
 
@@ -39,39 +39,104 @@ def _check_seed(seed):
 # simulators
 # ---------------------------------------------------------------------------
 
-def _wf_block_fn(times, x0, seed, absorb_tol, scaled):
-    dts = np.diff(times)
-    n_steps = len(dts)
-    denom = 1.0 - times[:-1] if scaled else np.ones(n_steps)
+class _EulerRecipe:
+    """Streaming block recipe: Euler-Maruyama stepped time-major.
 
-    def block(lo, hi):
-        bs = hi - lo
-        z = draw_block_normals(seed, lo, hi, n_steps)
-        x = np.full(bs, float(x0))
-        states = np.empty((bs, n_steps + 1))
-        stepvar = np.empty((bs, n_steps))
+    stream(lo, hi, observers) draws the block's normals, then steps all
+    of its paths together, one chunk of T = chunk_steps(bs, n_steps)
+    steps at a time, in preallocated (T+1, bs) state and (T, bs)
+    variance buffers, and hands each chunk to the observers.
+
+    new_step(x, abst) sets up one block, given its first state x and its
+    absorption times abst (all NaN), both of which it may edit.  It
+    returns step(k, x, x_next, var, z), which writes the variance of
+    step k and the state after it.
+    """
+
+    def __init__(self, times, x0, seed, new_step):
+        self.times = times
+        self.x0 = float(x0)
+        self.seed = seed
+        self.new_step = new_step
+
+    def stream(self, lo, hi, observers):
+        n_steps, bs = len(self.times) - 1, hi - lo
+        z = draw_block_normals(self.seed, lo, hi, n_steps)
+        t_chunk = chunk_steps(bs, n_steps)
+        states = np.empty((t_chunk + 1, bs))
+        stepvar = np.empty((t_chunk, bs))
+        zt = np.empty((t_chunk, bs))
+        states[0] = self.x0
         abst = np.full(bs, np.nan)
-        states[:, 0] = x
-        alive = np.ones(bs, dtype=bool)
-        start_absorbed = (x0 <= absorb_tol) or (x0 >= 1.0 - absorb_tol)
-        if start_absorbed:
-            x[:] = round(x0)
-            states[:, 0] = x
-            abst[:] = times[0]
-            alive[:] = False
-        for k in range(n_steps):
-            var = np.where(alive, np.maximum(x * (1.0 - x), 0.0) / denom[k], 0.0)
-            stepvar[:, k] = var
-            x = x + np.sqrt(var * dts[k]) * z[:, k]
-            np.clip(x, 0.0, 1.0, out=x)
-            hit = alive & ((x <= absorb_tol) | (x >= 1.0 - absorb_tol))
-            x[hit] = np.round(x[hit])
-            abst[hit] = times[k + 1]
-            alive &= ~hit
-            states[:, k + 1] = x
-        return states, stepvar, abst
+        step = self.new_step(states[0], abst)
+        for k0 in range(0, n_steps, t_chunk):
+            m = min(t_chunk, n_steps - k0)
+            zt[:m] = z[:, k0:k0 + m].T
+            for j in range(m):
+                step(k0 + j, states[j], states[j + 1], stepvar[j], zt[j])
+            for obs in observers:
+                obs.chunk(k0, states[:m + 1], stepvar[:m])
+            states[0] = states[m]
+        return abst
 
-    return block
+
+def _wf_step(times, absorb_tol, scaled):
+    """new_step of the scaled (S = X(1-X)/(1-t)) or standard (S = X(1-X)) diffusion."""
+    dts = np.diff(times)
+    denom = 1.0 - times[:-1] if scaled else None
+    lo_edge, hi_edge = absorb_tol, 1.0 - absorb_tol
+
+    def new_step(x, abst):
+        alive = (x > lo_edge) & (x < hi_edge)
+        x[~alive] = np.round(x[~alive])
+        abst[~alive] = times[0]
+        tmp = np.empty(len(x))
+        edge = np.empty(len(x), dtype=bool)
+        hit = np.empty(len(x), dtype=bool)
+
+        def step(k, x, xn, var, zk):
+            # x stays in [0, 1], so x(1-x) >= 0, and it is exactly 0 on
+            # absorbed paths, which therefore never move again
+            np.subtract(1.0, x, out=var)
+            var *= x
+            if denom is not None:
+                var /= denom[k]
+            np.multiply(var, dts[k], out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.multiply(tmp, zk, out=tmp)
+            np.add(x, tmp, out=xn)
+            np.clip(xn, 0.0, 1.0, out=xn)
+            np.less_equal(xn, lo_edge, out=edge)
+            np.greater_equal(xn, hi_edge, out=hit)
+            np.logical_or(edge, hit, out=edge)
+            np.logical_and(edge, alive, out=hit)
+            if hit.any():
+                xn[hit] = np.round(xn[hit])
+                abst[hit] = times[k + 1]
+                alive[hit] = False
+
+        return step
+
+    return new_step
+
+
+def _sde_step(times, sigma):
+    """new_step of dX = sigma(X) dB on the real line, never absorbed."""
+    sqrt_dts = np.sqrt(np.diff(times))
+
+    def new_step(x, abst):
+        tmp = np.empty(len(x))
+
+        def step(k, x, xn, var, zk):
+            s = np.asarray(sigma(x), dtype=float)
+            np.multiply(s, s, out=var)
+            np.multiply(s, sqrt_dts[k], out=tmp)
+            np.multiply(tmp, zk, out=tmp)
+            np.add(x, tmp, out=xn)
+
+        return step
+
+    return new_step
 
 
 def simulate_scaled_wf(x0: float, t0: float = 0.0, *, eps: float = 1e-3,
@@ -91,7 +156,8 @@ def simulate_scaled_wf(x0: float, t0: float = 0.0, *, eps: float = 1e-3,
     scheme = (f"scaled_wf|base_dt={policy.base_dt}|adaptive={policy.adaptive}"
               f"|shrink={policy.shrink}|absorb_tol={absorb_tol}")
     ens = PathEnsemble(times, n_paths, seed, scheme, x0, t0, eps,
-                       block_fn=_wf_block_fn(times, x0, seed, absorb_tol, True))
+                       block_fn=_EulerRecipe(times, x0, seed,
+                                              _wf_step(times, absorb_tol, True)))
     return _maybe_materialize(ens)
 
 
@@ -101,8 +167,8 @@ def simulate_standard_wf(x0: float, horizon: float, dt: float, *,
     """Paths of dX = sqrt(X(1-X)) dB on [0, horizon] with a fixed step."""
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 must lie in [0, 1]")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     seed = _check_seed(seed)
     if horizon == 0.0:
         # no time to evolve: every path is the constant x0
@@ -117,7 +183,8 @@ def simulate_standard_wf(x0: float, horizon: float, dt: float, *,
     times = np.linspace(0.0, horizon, n_steps + 1)
     scheme = f"standard_wf|dt={dt}|absorb_tol={absorb_tol}"
     ens = PathEnsemble(times, n_paths, seed, scheme, x0, 0.0, 0.0,
-                       block_fn=_wf_block_fn(times, x0, seed, absorb_tol, False))
+                       block_fn=_EulerRecipe(times, x0, seed,
+                                              _wf_step(times, absorb_tol, False)))
     return _maybe_materialize(ens)
 
 
@@ -137,29 +204,14 @@ def simulate_generic_sde(sigma: Callable[[np.ndarray], np.ndarray], x0: float,
         raise ValueError("sigma_max must be >= sigma_min")
     if horizon * sigma_min**2 < 1.0 - 1e-12:
         raise ValueError("horizon too short: need horizon >= 1/sigma_min^2")
-    if not (0 < dt <= horizon):
-        raise ValueError("need 0 < dt <= horizon")
+    if not (0 < dt <= horizon < math.inf):
+        raise ValueError("need 0 < dt <= horizon < inf")
     seed = _check_seed(seed)
     n_steps = max(1, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n_steps + 1)
-    dts = np.diff(times)
-
-    def block(lo, hi):
-        bs = hi - lo
-        z = draw_block_normals(seed, lo, hi, n_steps)
-        x = np.full(bs, float(x0))
-        states = np.empty((bs, n_steps + 1))
-        stepvar = np.empty((bs, n_steps))
-        states[:, 0] = x
-        for k in range(n_steps):
-            s = np.asarray(sigma(x), dtype=float)
-            stepvar[:, k] = s * s
-            x = x + s * np.sqrt(dts[k]) * z[:, k]
-            states[:, k + 1] = x
-        return states, stepvar, np.full(bs, np.nan)
-
     ens = PathEnsemble(times, n_paths, seed, "generic_sde", x0, 0.0, 0.0,
-                       block_fn=block, bounded=False)
+                       block_fn=_EulerRecipe(times, x0, seed, _sde_step(times, sigma)),
+                       bounded=False)
     return _maybe_materialize(ens)
 
 
@@ -204,11 +256,8 @@ def sigma_martingale_check(ens: PathEnsemble,
     idx = [int(np.argmin(np.abs(ens.times - c))) for c in cps]
     tgrid = ens.times[idx]
 
-    def red(blk):
-        xs = blk.states[:, idx]
-        return xs * (1.0 - xs) / (1.0 - tgrid)
-
-    vals = ens.reduce_paths(red)
+    xs = ens.observe(lambda bs: Snapshots(idx, bs))[:, :-1]
+    vals = xs * (1.0 - xs) / (1.0 - tgrid)
     x0 = float(np.asarray(ens.x0).ravel()[0])
     ref = x0 * (1.0 - x0) / (1.0 - ens.t0)
     out = []

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from winentropy.cli import main
 
@@ -166,3 +167,92 @@ def test_csv_to_json_format_override(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert isinstance(payload, list) and "residual" in payload[0]
+
+
+def test_config_values_are_cast_by_flag_type(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "dp.csv"
+    cfg.write_text("nt=2000\n")
+    assert main(["dp-solve", "--nx", "16", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "t,x,value,sigma_policy"
+    manifest = json.loads((tmp_path / "dp.csv.manifest.json").read_text())
+    assert manifest["parameters"]["nt"] == 2000
+    # each bad value is refused before the command runs
+    for cmd, bad in (("dp-solve", "nt=abc"), ("dp-solve", "nt=2.5"),
+                     ("dp-solve", "format=xml"), ("simulate", "fixed_step=maybe")):
+        cfg.write_text(bad + "\n")
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+
+
+# explicit flags that keep every run small; config keys set anything else
+_MC = ["--paths", "8", "--eps", "0.1", "--base-dt", "0.05"]
+_CHEAP_FLAGS = {
+    "value": ["--t", "0.2", "--x", "0.5"],
+    "sigma-star": ["--t", "0.2", "--x", "0.5"],
+    "hjb-residual": ["--nx", "8", "--nt", "8"],
+    "stationary-solve": ["--nx", "16"],
+    "dp-solve": ["--nx", "8", "--nt", "300"],
+    "dp-refine": ["--levels", "2", "--nx0", "8", "--eps", "0.05"],
+    "simulate": _MC + ["--horizon", "0.2", "--dt", "0.02"],
+    "entropy": _MC,
+    "p-divergence": _MC + ["--p", "3"],
+    "p-derivative": _MC,
+    "sigma-martingale": _MC,
+    "moment": _MC,
+    "density": ["--t", "0.5", "--x", "0.5", "--points", "5", "--terms", "3"],
+    "density-vs-mc": ["--paths", "20", "--dt", "0.05", "--bins", "4"],
+    "trinomial": ["--sigma", "2", "--sigma-bar", "10"],
+    "counterexample": ["--delta", "1e-3"],
+    "reciprocity": ["--paths", "8", "--dt", "0.01"],
+    "md-entropy": ["--paths", "8", "--base-dt", "0.05"],
+    "md-search": ["--paths", "8", "--budget", "1"],
+}
+_CONFIG_VALUES = ["abc", "", "nan", "inf", "-inf", "-1", "0", "1", "2", "3",
+                  "0.5", "0.05", "1e-3", "2.5", "true", "no", "csv", "json",
+                  "binary", "standard", "log-moment", "specific", "p",
+                  "2.1,2.05", "0.25,0.5", "0.3,0.3", "0.5", "const:2",
+                  "one-plus-half-sin"]
+
+
+def test_config_values_that_raised_now_exit_2(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    for cmd, flags, line in (
+            ("entropy", _MC, "t0=-inf"),       # the step grid grew without end
+            ("density-vs-mc", _CHEAP_FLAGS["density-vs-mc"], "t=inf"),
+            ("dp-refine", ["--levels", "2", "--nx0", "8"], "eps=0"),
+            ("md-entropy", _CHEAP_FLAGS["md-entropy"], "seed=-1")):
+        cfg.write_text(line + "\n")
+        assert main([cmd, *flags, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+def _config_keys(command):
+    from winentropy.cli import build_parser
+    _, subparsers = build_parser()
+    return sorted(a.dest for a in subparsers[command]._actions
+                  if a.dest not in ("help", "out", "config"))
+
+
+@st.composite
+def _config_case(draw):
+    command = draw(st.sampled_from(sorted(_CHEAP_FLAGS)))
+    keys = draw(st.lists(st.sampled_from(_config_keys(command)),
+                         min_size=1, max_size=2, unique=True))
+    return command, {k: draw(st.sampled_from(_CONFIG_VALUES)) for k in keys}
+
+
+@settings(max_examples=150)
+@given(_config_case())
+def test_any_config_value_ends_in_documented_exit_code(tmp_path_factory, case):
+    from winentropy.paths import set_max_workers
+    command, values = case
+    d = tmp_path_factory.mktemp("cfg")
+    cfg = d / "c.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    try:
+        code = main([command, *_CHEAP_FLAGS[command], "--config", str(cfg),
+                     "--out", str(d / "out")])
+    finally:
+        set_max_workers(None)
+    assert code in (0, 2, 3)
