@@ -22,6 +22,7 @@ import csv
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -304,26 +305,19 @@ class PathEnsemble:
                     block_size: Optional[int]) -> np.ndarray:
         """work(lo, hi) for every block, assembled into one row per path.
 
-        Output slots are preassigned per path, so scheduling cannot
+        With several blocks and workers, every block goes to the pool;
+        each result lands in its own path range, so scheduling cannot
         change the result.
         """
         ranges = self._ranges(block_size)
-        first = np.asarray(work(*ranges[0]))
-        out = np.empty((self.n_paths,) + first.shape[1:], dtype=first.dtype)
-        out[ranges[0][0]:ranges[0][1]] = first
-        rest = ranges[1:]
-        workers = get_max_workers()
-
-        def fill(rng):
-            lo, hi = rng
-            out[lo:hi] = work(lo, hi)
-
-        if workers > 1 and len(rest) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill, rest))
-        else:
-            for rng in rest:
-                fill(rng)
+        workers = min(get_max_workers(), len(ranges))
+        out = None
+        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            parts = (pool.map if pool else map)(lambda r: np.asarray(work(*r)), ranges)
+            for (lo, hi), part in zip(ranges, parts):
+                if out is None:
+                    out = np.empty((self.n_paths,) + part.shape[1:], dtype=part.dtype)
+                out[lo:hi] = part
         return out
 
     def reduce_paths(self, fn: Callable[[_Block], np.ndarray],

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from .closed_form import GridFunction, stationary_profile, value_function
-from .entropy import xlogx
+from .closed_form import GridFunction, value_function
 
 
 @dataclass(frozen=True)
@@ -45,26 +46,6 @@ class StationarySolveSpec:
     def __post_init__(self):
         if self.n_x < 8:
             raise ValueError("n_x must be at least 8")
-
-
-def _thomas(lower, diag, upper, rhs):
-    """Tridiagonal solve, standard forward elimination / back substitution."""
-    n = len(rhs)
-    c = np.empty(n)
-    d = np.empty(n)
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * c[i - 1]
-        if denom == 0.0:
-            raise RuntimeError("singular tridiagonal system")
-        c[i] = upper[i] / denom if i < n - 1 else 0.0
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
-    out = np.empty(n)
-    out[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        out[i] = d[i] - c[i] * out[i + 1]
-    return out
 
 
 def solve_stationary(spec: StationarySolveSpec | int) -> GridFunction:
@@ -81,8 +62,8 @@ def solve_stationary(spec: StationarySolveSpec | int) -> GridFunction:
     h2 = (x[1] - x[0]) ** 2
     xi = x[1:-1]
     rhs = (-(np.log(xi * (1.0 - xi))) - 1.0) * h2
-    m = n - 1
-    w = _thomas(np.ones(m), np.full(m, -2.0), np.ones(m), rhs)
+    ab = np.repeat([[1.0], [-2.0], [1.0]], n - 1, axis=1)   # upper, diagonal, lower
+    w = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
     vals = np.concatenate(([0.0], w, [0.0]))
     return GridFunction(x_grid=x, values=vals)
 
@@ -170,26 +151,47 @@ class DpSolution:
     spec: DpSpec
 
 
-def dp_step(v_next: np.ndarray, dx: float, dt: float,
-            sigma_max: float) -> tuple[np.ndarray, np.ndarray]:
+def dp_workspace(n: int) -> tuple[np.ndarray, ...]:
+    """Rows (v, sigma, D, tmp) that dp_step fills for a grid of n nodes."""
+    return np.empty(n), np.empty(n - 2), np.empty(n - 2), np.empty(n - 2)
+
+
+def dp_step(v_next: np.ndarray, dx: float, dt: float, sigma_max: float, *,
+            work: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray]:
     """One backward step of the monotone scheme.
 
     Returns (v, sigma) with v the updated row (boundary entries 0) and
-    sigma the minimizing control on the interior nodes.
+    sigma the minimizing control on the interior nodes.  Given a
+    workspace from dp_workspace, both are written into it in place; it
+    must not hold v_next.
     """
     if sigma_max * dt > dx * dx * (1.0 + 1e-9):
         raise ValueError("CFL violated: sigma_max * dt must not exceed dx^2")
-    D = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / (dx * dx)
-    arg = -D - 1.0
-    log_cap = math.log(sigma_max)
-    over = arg > 700.0
-    if np.any(over):
+    v, sig, D, tmp = dp_workspace(len(v_next)) if work is None else work
+    vi = v[1:-1]
+    # D = (v[x+dx] - 2 v[x] + v[x-dx]) / dx^2, one rounding per operation
+    np.multiply(v_next[1:-1], 2.0, out=D)
+    np.subtract(v_next[2:], D, out=D)
+    D += v_next[:-2]
+    D /= dx * dx
+    np.subtract(-1.0, D, out=tmp)                  # arg = -D - 1
+    if tmp.max() > 700.0:
         warnings.warn("exp overflow in the control formula; clamped to the cap")
-    sig = np.exp(np.minimum(arg, log_cap))
-    v = np.empty_like(v_next)
-    v[0] = 0.0
-    v[-1] = 0.0
-    v[1:-1] = v_next[1:-1] + dt * (0.5 * xlogx(sig) + 0.5 * sig * D)
+    np.minimum(tmp, math.log(sigma_max), out=sig)
+    np.exp(sig, out=sig)
+    underflow = sig.min() == 0.0                   # exp(arg) is 0; 0 log 0 = 0
+    with np.errstate(divide="ignore", invalid="ignore") if underflow else nullcontext():
+        np.log(sig, out=tmp)
+        tmp *= sig
+    if underflow:
+        tmp[sig == 0.0] = 0.0
+    tmp *= 0.5
+    np.multiply(sig, 0.5, out=vi)
+    vi *= D
+    tmp += vi
+    tmp *= dt
+    np.add(v_next[1:-1], tmp, out=vi)
+    v[0] = v[-1] = 0.0
     return v, sig
 
 
@@ -200,11 +202,8 @@ def solve_dp(spec: DpSpec, n_policy_rows: int = 65) -> DpSolution:
     spaced time rows (the full surface would be n_t rows).
     """
     x = np.linspace(0.0, 1.0, spec.n_x + 1)
-    dx = spec.dx
-    dt = spec.dt
-    sigma_max = spec.sigma_max
-    K = spec.resolved_penalty
-    V = K * x * (1.0 - x)
+    dx, dt, sigma_max = spec.dx, spec.dt, spec.sigma_max
+    V = spec.resolved_penalty * x * (1.0 - x)
 
     n_rows = min(n_policy_rows, spec.n_t)
     # time indices (in backward step count) at which to keep the policy
@@ -213,8 +212,9 @@ def solve_dp(spec: DpSpec, n_policy_rows: int = 65) -> DpSolution:
     pol = np.zeros((len(snap_steps), spec.n_x + 1))
     pol_t = np.empty(len(snap_steps))
 
+    work = (dp_workspace(spec.n_x + 1), dp_workspace(spec.n_x + 1))
     for step in range(1, spec.n_t + 1):
-        V, sig = dp_step(V, dx, dt, sigma_max)
+        V, sig = dp_step(V, dx, dt, sigma_max, work=work[step % 2])
         if step in snap_at:
             i = snap_at[step]
             pol[i, 1:-1] = sig

@@ -160,6 +160,16 @@ def test_validation_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "y.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["stationary-solve", "dp-solve"])
+def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, command):
+    # 1e12 nodes is 8 TB per row: the allocation is refused at once
+    assert main([command, "--nx", str(10**12),
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "out of memory" in err and str(10**12 + 1) in err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_csv_to_json_format_override(tmp_path):
     out = tmp_path / "res.json"
     code = main(["hjb-residual", "--nx", "8", "--nt", "8", "--format", "json",

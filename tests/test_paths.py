@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -101,6 +102,33 @@ def test_reduction_independent_of_workers():
     set_max_workers(4)
     v2 = reciprocal_entropy_estimate(ens)
     assert v1.value == v2.value and v1.std_error == v2.std_error
+
+
+@pytest.mark.parametrize("n_blocks", [2, 3])
+def test_two_workers_run_every_block_on_the_pool(n_blocks):
+    # the first two blocks meet at a barrier, which only two threads can pass
+    ens = simulate_scaled_wf(0.5, eps=0.05, n_paths=3 * n_blocks, seed=8)
+    barrier = threading.Barrier(2, timeout=10)
+    seen, lock = [], threading.Lock()
+
+    def fn(blk):
+        with lock:
+            seen.append(threading.get_ident())
+            first_two = len(seen) <= 2
+        if first_two and parallel:
+            barrier.wait()
+        return blk.states[:, -3:] * blk.step_variance[:, :1]
+
+    parallel = False
+    set_max_workers(1)
+    serial = ens.reduce_paths(fn, block_size=3)
+    assert len(set(seen)) == 1
+    seen.clear()
+    parallel = True
+    set_max_workers(2)
+    pooled = ens.reduce_paths(fn, block_size=3)
+    assert len(seen) == n_blocks and len(set(seen)) == 2
+    assert pooled.tobytes() == serial.tobytes()
 
 
 def test_simulation_determinism_same_seed():

@@ -1,12 +1,16 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from winentropy import pde
 from winentropy.closed_form import stationary_profile, value_function
+from winentropy.entropy import xlogx
 from winentropy.pde import (ControlPolicy, DpSpec, StationarySolveSpec,
                             default_refinement_specs, dp_refinement_study,
-                            dp_step, solve_dp, solve_stationary)
+                            dp_step, dp_workspace, solve_dp, solve_stationary)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +88,98 @@ def test_dp_step_policy_formula():
     assert np.all(sig <= smax * (1 + 1e-12))
 
 
+def test_dp_step_exp_underflow_costs_zero():
+    # a convex kink with D_xx V > 745 underflows exp(-D_xx V - 1) to exactly
+    # 0; the running cost 0 log 0 is 0, so the node keeps its continuation
+    n = 21
+    x = np.linspace(0.0, 1.0, n)
+    dx = 1.0 / (n - 1)
+    dt = dx * dx / 10.0
+    v_next = -100.0 * np.minimum(x, 1.0 - x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, sig = dp_step(v_next, dx, dt, dx * dx / dt)
+    assert np.flatnonzero(sig == 0.0).tolist() == [9]     # node x = 0.5
+    assert np.all(np.isfinite(v))
+    assert v[10] == v_next[10]
+    assert np.allclose(sig[np.arange(n - 2) != 9], np.exp(-1.0), rtol=1e-9)
+
+
+def _dp_step_formula(v_next, dx, dt, sigma_max):
+    # the step written out as expressions, without workspaces
+    D = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / (dx * dx)
+    sig = np.exp(np.minimum(-D - 1.0, math.log(sigma_max)))
+    v = np.zeros_like(v_next)
+    v[1:-1] = v_next[1:-1] + dt * (0.5 * xlogx(sig) + 0.5 * sig * D)
+    return v, sig
+
+
+@pytest.mark.filterwarnings("ignore:exp overflow in the control formula")
+def test_dp_step_workspace_gives_same_bits():
+    # chained steps from rows with capped and underflowing nodes; the two
+    # workspaces are reused alternately, as solve_dp reuses them
+    rng = np.random.default_rng(5)
+    n = 41
+    dx = 1.0 / (n - 1)
+    dt = dx * dx / 10.0
+    smax = dx * dx / dt
+    work = (dp_workspace(n), dp_workspace(n))
+    for trial in range(5):
+        v0 = rng.normal(size=n) - 100.0 * np.minimum(
+            np.abs(np.linspace(0.0, 1.0, n) - rng.uniform(0.2, 0.8)), 0.1)
+        v0[0] = v0[-1] = 0.0
+        ref = plain = ws = v0
+        for step in range(30):
+            ref, ref_sig = _dp_step_formula(ref, dx, dt, smax)
+            plain, plain_sig = dp_step(plain, dx, dt, smax)
+            ws, ws_sig = dp_step(ws, dx, dt, smax, work=work[step % 2])
+            assert ws is work[step % 2][0] and ws_sig is work[step % 2][1]
+            for got, got_sig in ((plain, plain_sig), (ws, ws_sig)):
+                assert got.tobytes() == ref.tobytes()
+                assert got_sig.tobytes() == ref_sig.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # full backward solves
 # ---------------------------------------------------------------------------
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec, digests", [
+    (DpSpec.balanced(16, 5e-2),
+     ("4354007a567bfaf744ce214ccb791cd0b31b7979995451482deb00ad5a63c47c",
+      "a5cbe5cda121e36dde6fb0cccfeac0ebff35089ee196ef5bb39014db47d6ac48",
+      "29d58c8ad6001e94ffc871e0498e9f9ee9d7f3a0a97a0cc1d85ad4084a66f676")),
+    (DpSpec(n_x=12, n_t=700, eps=2e-2, penalty_K=3.0, t0=0.1),
+     ("8f4ccefddf19c74cdb01804c600f6ae5ed1b2a83dd2c344691034b5c26580f10",
+      "00dd51f3719f9f8da641e67dc9bc4aeb20850462458d9c4f8cca2ceb2da51c43",
+      "ac7f170bd35dc75702730eb37ecdcc60e59af06236ad6223aeccffce97ae5e32")),
+])
+def test_dp_solution_matches_golden(spec, digests):
+    # SHA-256 of the value row, the policy surface and the policy times,
+    # recorded with the expression-style step that preceded the in-place one
+    sol = solve_dp(spec)
+    got = (_sha(sol.value.values), _sha(sol.policy.sigma), _sha(sol.policy.t_grid))
+    assert got == digests
+
+
+def test_solve_dp_calls_dp_step_once_per_step(monkeypatch):
+    # solve_dp looks dp_step up on the module at every step, so a wrapper
+    # installed there (as the benchmark's tracer does) sees every call
+    calls = []
+    step = pde.dp_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "dp_step", counting)
+    spec = DpSpec(n_x=10, n_t=37, eps=5e-2)
+    solve_dp(spec)
+    assert len(calls) == spec.n_t
+
 
 def test_dp_zero_penalty_nonpositive():
     spec = DpSpec.balanced(n_x=40, eps=5e-2, penalty_K=0.0)
