@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .entropy import DivergenceEstimate, integrand_reciprocal
-from .paths import NumericalError, PathEnsemble, StepPolicy, draw_block_normals
+from .paths import (NumericalError, PathEnsemble, StepPolicy, draw_block_normals,
+                    path_rng)
 
 SYMMETRY_TOL = 1e-12
 EIG_NEG_TOL = 1e-10
@@ -171,7 +172,9 @@ def simulate_simplex_wf(d: int, x0, *, eps: float = 1e-2, n_paths: int = 1000,
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
         bs = hi - lo
-        z = draw_block_normals(seed, lo, hi, n_steps * d).reshape(bs, n_steps, d)
+        # one panel spans the horizon: every state is stored anyway
+        z = draw_block_normals((path_rng(seed, i) for i in range(lo, hi)),
+                               np.empty((bs, n_steps * d))).reshape(bs, n_steps, d)
         x = np.tile(x0, (bs, 1))
         states[lo:hi, 0] = x
         alive = np.ones(bs, dtype=bool)

@@ -9,11 +9,14 @@ are partitioned into blocks or how many worker threads reduce them.
 A lazy ensemble holds only its simulation recipe.  A reduction streams
 each block of paths through observers, time-major, one chunk of at most
 CHUNK_STEPS steps at a time: while a block is stepped, the recipe holds
-the block's normals and one chunk of states and step variances, and an
-observer keeps only what it reduces to (per-path sums, snapshots at
-chosen grid nodes).  Full (paths, steps) arrays exist only where a
-caller asks for them: materialize, iter_blocks, path, the exporters and
-user functions given to reduce_paths.
+one panel of the block's normals (a whole number of chunks, about
+PANEL_ELEMENTS values) and one chunk of states and step variances, and
+an observer keeps only what it reduces to (per-path sums, snapshots at
+chosen grid nodes).  A counter-based stream gives the same normals
+however its draws are cut, so the panel width never changes a result.
+Full (paths, steps) arrays exist only where a caller asks for them:
+materialize, iter_blocks, path, the exporters and user functions given
+to reduce_paths.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ DENSE_ELEMENT_LIMIT = 8_000_000
 # values
 CHUNK_STEPS = 256
 CHUNK_ELEMENTS = 1 << 16
+# a block draws its normals into one (bs, P) panel at a time, P a whole
+# number of chunks, so the panel holds about PANEL_ELEMENTS values
+PANEL_ELEMENTS = 1 << 21
 
 _MAX_WORKERS = None
 
@@ -71,11 +77,14 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_block_normals(master_seed: int, lo: int, hi: int, n: int) -> np.ndarray:
-    """Standard normals for paths lo..hi-1, one independent stream per path."""
-    out = np.empty((hi - lo, n))
-    for j in range(hi - lo):
-        out[j] = path_rng(master_seed, lo + j).standard_normal(n)
+def draw_block_normals(streams, out: np.ndarray) -> np.ndarray:
+    """Fill row j of out with the next standard normals of streams[j]; returns out.
+
+    Each path draws from its own stream (path_rng) strictly in order, so
+    cutting a path's normals into several panels gives the same values.
+    """
+    for rng, row in zip(streams, out):
+        rng.standard_normal(out=row)
     return out
 
 
@@ -184,6 +193,12 @@ def chunk_steps(bs: int, n_steps: int) -> int:
     return max(1, min(CHUNK_STEPS, CHUNK_ELEMENTS // bs, n_steps))
 
 
+def panel_steps(bs: int, n_steps: int) -> int:
+    """Steps per normals panel for a block of bs paths: whole chunks, at least one."""
+    t_chunk = chunk_steps(bs, n_steps)
+    return min(n_steps, max(1, PANEL_ELEMENTS // (bs * t_chunk)) * t_chunk)
+
+
 def _feed_arrays(states, step_variance, observers) -> None:
     """Hand a (bs, n_times) block to observers in time-major chunks."""
     bs, n_steps = step_variance.shape
@@ -267,7 +282,9 @@ class PathEnsemble:
     # -- block access ----------------------------------------------------
 
     def _default_block_size(self) -> int:
-        # keep one block's normals near or below ~256 MB of doubles
+        # a stored block (iter_blocks, _Store, the exporters) keeps its
+        # states and its step variances near or below 33M doubles each;
+        # a streamed block holds one normals panel whatever its size
         cap = int(33_000_000 // max(1, self.n_steps))
         return max(256, min(DEFAULT_BLOCK_SIZE, cap))
 

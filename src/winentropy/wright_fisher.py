@@ -23,7 +23,8 @@ import numpy as np
 
 from .entropy import DivergenceEstimate, _mc_estimate, _per_path_integrals, xlogx
 from .paths import (DENSE_ELEMENT_LIMIT, NumericalError, PathEnsemble,
-                    Snapshots, StepPolicy, chunk_steps, draw_block_normals)
+                    Snapshots, StepPolicy, chunk_steps, draw_block_normals,
+                    panel_steps, path_rng)
 
 DEFAULT_ABSORB_TOL = 1e-6
 
@@ -39,13 +40,36 @@ def _check_seed(seed):
 # simulators
 # ---------------------------------------------------------------------------
 
+def _normal_panels(seed, lo, hi, n_steps):
+    """Yield (k0, z): normals of paths lo..hi-1 for steps k0..k0+m-1 as (bs, m).
+
+    Panels span panel_steps(bs, n_steps) steps, the last one fewer, and
+    each is drawn only when the caller asks for it, into one buffer the
+    caller must be done with by then.  A block that fits in one panel
+    builds each path's stream, draws from it and drops it; a longer one
+    keeps its bs streams alive between panels.  It draws through this
+    module's draw_block_normals attribute, which benchmarks/tracing.py
+    wraps to time the normals layer.
+    """
+    bs = hi - lo
+    width = panel_steps(bs, n_steps)
+    streams = (path_rng(seed, i) for i in range(lo, hi))
+    if width < n_steps:
+        streams = list(streams)
+    panel = np.empty((bs, width))
+    for k0 in range(0, n_steps, width):
+        yield k0, draw_block_normals(streams, panel[:, :min(width, n_steps - k0)])
+
+
 class _EulerRecipe:
     """Streaming block recipe: Euler-Maruyama stepped time-major.
 
-    stream(lo, hi, observers) draws the block's normals, then steps all
-    of its paths together, one chunk of T = chunk_steps(bs, n_steps)
-    steps at a time, in preallocated (T+1, bs) state and (T, bs)
-    variance buffers, and hands each chunk to the observers.
+    stream(lo, hi, observers) steps all of a block's paths together, one
+    chunk of T = chunk_steps(bs, n_steps) steps at a time, in
+    preallocated (T+1, bs) state and (T, bs) variance buffers, and hands
+    each chunk to the observers.  It holds one panel of the block's
+    normals (_normal_panels), a whole number of chunks wide, and draws
+    the next panel when the stepping reaches its end.
 
     new_step(x, abst) sets up one block, given its first state x and its
     absorption times abst (all NaN), both of which it may edit.  It
@@ -61,7 +85,6 @@ class _EulerRecipe:
 
     def stream(self, lo, hi, observers):
         n_steps, bs = len(self.times) - 1, hi - lo
-        z = draw_block_normals(self.seed, lo, hi, n_steps)
         t_chunk = chunk_steps(bs, n_steps)
         states = np.empty((t_chunk + 1, bs))
         stepvar = np.empty((t_chunk, bs))
@@ -69,14 +92,15 @@ class _EulerRecipe:
         states[0] = self.x0
         abst = np.full(bs, np.nan)
         step = self.new_step(states[0], abst)
-        for k0 in range(0, n_steps, t_chunk):
-            m = min(t_chunk, n_steps - k0)
-            zt[:m] = z[:, k0:k0 + m].T
-            for j in range(m):
-                step(k0 + j, states[j], states[j + 1], stepvar[j], zt[j])
-            for obs in observers:
-                obs.chunk(k0, states[:m + 1], stepvar[:m])
-            states[0] = states[m]
+        for p0, z in _normal_panels(self.seed, lo, hi, n_steps):
+            for c0 in range(0, z.shape[1], t_chunk):
+                k0, m = p0 + c0, min(t_chunk, z.shape[1] - c0)
+                zt[:m] = z[:, c0:c0 + m].T
+                for j in range(m):
+                    step(k0 + j, states[j], states[j + 1], stepvar[j], zt[j])
+                for obs in observers:
+                    obs.chunk(k0, states[:m + 1], stepvar[:m])
+                states[0] = states[m]
         return abst
 
 
@@ -401,10 +425,18 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
     The time change tau = <X>^{-1}(1) makes the two expectations equal.
 
     Returns (lhs, rhs) as DivergenceEstimate values; they must agree
-    within combined Monte Carlo error.
+    within combined Monte Carlo error.  dt must divide [0, 1] into a
+    whole number of steps.  The SDE side stops drawing normals after the
+    panel in which its last path exhausts quadratic variation 1.
     """
     if not sigma_min > 0:
         raise ValueError("sigma_min must be positive")
+    if not (0.0 < dt <= 1.0 and math.isfinite(1.0 / dt)):
+        raise ValueError(f"dt must satisfy 0 < dt <= 1 with 1/dt finite, got {dt!r}")
+    n_steps_l = round(1.0 / dt)
+    if abs(1.0 / dt - n_steps_l) > 1e-9 * n_steps_l:
+        raise ValueError(f"1/dt must be a whole number of steps, got "
+                         f"1/{dt!r} = {1.0 / dt!r}")
     seed = _check_seed(seed)
     if horizon is None:
         horizon = 1.05 / sigma_min**2
@@ -416,25 +448,27 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
         bs = hi - lo
-        z = draw_block_normals(seed, lo, hi, n_steps_r)
         x = np.full(bs, float(x0))
         q = np.zeros(bs)           # running quadratic variation
         acc = np.zeros(bs)
         running = np.ones(bs, dtype=bool)
-        for k in range(n_steps_r):
-            s2 = np.asarray(sigma(x), dtype=float) ** 2
-            cost = 1.0 + xlogx(s2) - s2
-            q_next = q + s2 * dt
-            crossing = running & (q_next >= 1.0)
-            cont = running & ~crossing
-            acc[cont] += cost[cont] * dt
-            if np.any(crossing):
-                # partial step: only the time needed to bring <X> to 1
-                frac_dt = (1.0 - q[crossing]) / s2[crossing]
-                acc[crossing] += cost[crossing] * frac_dt
-                running[crossing] = False
-            x = x + np.sqrt(s2 * dt) * z[:, k]
-            q = q_next
+        for _, z in _normal_panels(seed, lo, hi, n_steps_r):
+            for zk in z.T:
+                s2 = np.asarray(sigma(x), dtype=float) ** 2
+                cost = 1.0 + xlogx(s2) - s2
+                q_next = q + s2 * dt
+                crossing = running & (q_next >= 1.0)
+                cont = running & ~crossing
+                acc[cont] += cost[cont] * dt
+                if np.any(crossing):
+                    # partial step: only the time needed to bring <X> to 1
+                    frac_dt = (1.0 - q[crossing]) / s2[crossing]
+                    acc[crossing] += cost[crossing] * frac_dt
+                    running[crossing] = False
+                x = x + np.sqrt(s2 * dt) * zk
+                q = q_next
+                if not running.any():
+                    break
             if not running.any():
                 break
         if running.any():
@@ -442,20 +476,18 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
                                  "variation 1; enlarge the horizon")
         rhs_vals[lo:hi] = acc
 
-    n_steps_l = int(round(1.0 / dt))
     lhs_vals = np.empty(n_paths)
     lhs_seed = (seed + 1) % (1 << 64)
+    sq_dt = math.sqrt(dt)
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
-        bs = hi - lo
-        z = draw_block_normals(lhs_seed, lo, hi, n_steps_l)
-        y = np.full(bs, float(x0))   # Brownian under the reference measure
-        acc = np.zeros(bs)
-        sq_dt = math.sqrt(dt)
-        for k in range(n_steps_l):
-            s2 = np.asarray(sigma(y), dtype=float) ** 2
-            acc += (1.0 / s2 + np.log(s2) - 1.0) * dt
-            y = y + sq_dt * z[:, k]
+        y = np.full(hi - lo, float(x0))   # Brownian under the reference measure
+        acc = np.zeros(hi - lo)
+        for _, z in _normal_panels(lhs_seed, lo, hi, n_steps_l):
+            for zk in z.T:
+                s2 = np.asarray(sigma(y), dtype=float) ** 2
+                acc += (1.0 / s2 + np.log(s2) - 1.0) * dt
+                y = y + sq_dt * zk
         lhs_vals[lo:hi] = acc
 
     def _est(vals, flavor):

@@ -160,6 +160,13 @@ def test_validation_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "y.json")]) == 2
 
 
+@pytest.mark.parametrize("dt", ["0", "5", "0.3", "-0.001", "nan"])
+def test_reciprocity_bad_dt_exits_2(tmp_path, capsys, dt):
+    assert main(["reciprocity", "--paths", "8", "--dt", dt,
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "dt" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["stationary-solve", "dp-solve"])
 def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, command):
     # 1e12 nodes is 8 TB per row: the allocation is refused at once

@@ -1,21 +1,23 @@
 import hashlib
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from winentropy import wright_fisher
+from winentropy import paths, wright_fisher
 from winentropy.entropy import (_step_sums, _step_weights,
                                 entropy_log_moment_estimate,
                                 integrand_reciprocal, integrand_specific,
                                 p_divergence_estimate, p_quotient_profile,
                                 reciprocal_entropy_estimate,
                                 specific_entropy_estimate, xlogx)
-from winentropy.paths import (CHUNK_STEPS, PathEnsemble, Snapshots, StepPolicy,
-                              chunk_steps, constant_variance_ensemble,
-                              path_rng, piecewise_constant_ensemble,
-                              set_max_workers)
+from winentropy.paths import (ACCURATE_POLICY, CHUNK_STEPS, PathEnsemble,
+                              Snapshots, StepPolicy, chunk_steps,
+                              constant_variance_ensemble, draw_block_normals,
+                              panel_steps, path_rng,
+                              piecewise_constant_ensemble, set_max_workers)
 from winentropy.wright_fisher import (p_moment_estimate, sigma_martingale_check,
                                       simulate_generic_sde, simulate_scaled_wf,
                                       simulate_standard_wf)
@@ -55,6 +57,29 @@ def test_path_rng_streams_are_stable_and_distinct():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+
+
+def test_panel_draws_continue_each_stream():
+    whole = np.stack([path_rng(9, i).standard_normal(700) for i in range(3)])
+    streams = [path_rng(9, i) for i in range(3)]
+    panel = np.empty((3, 256))
+    got = [draw_block_normals(streams, panel[:, :m]).copy()
+           for m in (7, 256, 37, 256, 144)]
+    assert [g.shape for g in got] == [(3, 7), (3, 256), (3, 37), (3, 256), (3, 144)]
+    assert np.array_equal(np.concatenate(got, axis=1), whole)
+
+
+def test_panel_steps_are_whole_chunks_within_budget(monkeypatch):
+    assert panel_steps(2048, 8381) == 1024
+    assert panel_steps(12, 661) == 661
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", 1)
+    assert panel_steps(12, 661) == chunk_steps(12, 661) == CHUNK_STEPS
+    for bs, n, budget in [(12, 661, 3600), (7, 661, 3600), (2048, 8381, 1 << 20),
+                          (8192, 4200, 1 << 21), (1, 5, 1 << 21)]:
+        monkeypatch.setattr(paths, "PANEL_ELEMENTS", budget)
+        width = panel_steps(bs, n)
+        assert width == n or (width % chunk_steps(bs, n) == 0
+                              and width * bs <= budget)
 
 
 def test_ensemble_validation():
@@ -263,8 +288,26 @@ def _golden_ensemble(name):
                               policy=StepPolicy(base_dt=0.05))
 
 
+# (CHUNK_STEPS, PANEL_ELEMENTS) that cut the golden and 661-step ensembles
+# into many panels: one chunk per panel, or several chunks per panel with
+# chunk edges between the panel edges
+PANEL_SPLITS = [(CHUNK_STEPS, 1), (100, 1), (100, 7000), (100, 3600)]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXPORTS))
 def test_export_bytes_match_golden(tmp_path, name):
+    _assert_golden_bytes(tmp_path, name)
+
+
+@pytest.mark.parametrize("split", PANEL_SPLITS)
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPORTS))
+def test_export_bytes_match_golden_in_panels(tmp_path, monkeypatch, name, split):
+    monkeypatch.setattr(paths, "CHUNK_STEPS", split[0])
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", split[1])
+    _assert_golden_bytes(tmp_path, name)
+
+
+def _assert_golden_bytes(tmp_path, name):
     ens = _golden_ensemble(name)
     ens.to_binary(tmp_path / "e.bin")
     ens.to_csv(tmp_path / "e.csv")
@@ -365,3 +408,36 @@ def test_reductions_independent_of_storage_blocks_and_workers(monkeypatch):
                 set_max_workers(workers)
                 _assert_same(_all_reductions(ens), ref)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("split", PANEL_SPLITS)
+def test_reductions_independent_of_normals_panels(monkeypatch, split):
+    dense = _inv_ensemble("materialized", monkeypatch)
+    ref = _all_reductions(dense)
+    monkeypatch.setattr(paths, "CHUNK_STEPS", split[0])
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", split[1])
+    for storage in ("materialized", "lazy"):
+        ens = _inv_ensemble(storage, monkeypatch)
+        assert panel_steps(ens.n_paths, ens.n_steps) < ens.n_steps
+        if storage == "materialized":
+            assert np.array_equal(ens._states, dense._states)
+            assert np.array_equal(ens._step_variance, dense._step_variance)
+        for bs in (1, 7, ens.n_paths):
+            monkeypatch.setattr(PathEnsemble, "_default_block_size",
+                                lambda self, bs=bs: bs)
+            _assert_same(_all_reductions(ens), ref)
+
+
+def test_lazy_sweep_holds_one_normals_panel():
+    # 512 paths x 8,381 steps: the whole horizon's normals are 34.3 MB
+    ens = simulate_scaled_wf(0.5, eps=1e-4, n_paths=512, seed=3,
+                             policy=ACCURATE_POLICY)
+    assert not ens.is_materialized and ens.n_steps == 8381
+    whole = 8 * ens.n_paths * ens.n_steps
+    tracemalloc.start()
+    try:
+        ens.observe(lambda bs: Snapshots([ens.n_steps], bs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * whole, f"sweep peaked at {peak / 1e6:.1f} MB"

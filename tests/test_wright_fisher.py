@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 import winentropy as we
+from winentropy import paths, wright_fisher
 from winentropy.paths import NumericalError, StepPolicy
 from winentropy.wright_fisher import (jacobi_p11, moment_series_bound,
                                       density_truncation_terms,
@@ -291,3 +292,77 @@ def test_reciprocity_horizon_errors():
     with pytest.raises(ValueError):
         reciprocity_check(lambda x: np.ones_like(x), 0.0, 8, 0,
                           sigma_min=1.0, sigma_max=1.0, horizon=0.5)
+
+
+def _sine(x):
+    return 1.0 + 0.5 * np.sin(x)
+
+
+# (x0, n_paths, seed, dt, block_size) -> (lhs, rhs), recorded when each
+# side still drew its whole horizon of normals before stepping
+RECIPROCITY_PINS = {
+    (0.0, 64, 0, 1e-3, 8192): (0.1435246952411196, 0.11372858832585103),
+    (0.0, 64, 1, 1e-3, 8192): (0.11404141638381367, 0.14481060412319977),
+    (0.0, 64, 2, 1e-3, 8192): (0.12389266928893432, 0.12455346224930719),
+    (0.25, 50, 3, 2e-3, 16): (0.06342509651856858, 0.09970398788164408),
+}
+
+
+def _pinned_reciprocity(key):
+    x0, n, seed, dt, block = key
+    lhs, rhs = reciprocity_check(_sine, x0, n, seed, sigma_min=0.5,
+                                 sigma_max=1.5, dt=dt, block_size=block)
+    return lhs.value, rhs.value
+
+
+@pytest.mark.parametrize("key", sorted(RECIPROCITY_PINS))
+def test_reciprocity_matches_pinned_values(key):
+    assert _pinned_reciprocity(key) == RECIPROCITY_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(RECIPROCITY_PINS))
+def test_reciprocity_in_many_panels_matches_pinned_values(monkeypatch, key):
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", 1)
+    assert _pinned_reciprocity(key) == RECIPROCITY_PINS[key]
+
+
+def test_reciprocity_stops_drawing_after_the_last_crossing(monkeypatch):
+    # one chunk of 256 steps per panel; 4,200 SDE steps, then 1,000 Brownian
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", 1)
+    drawn, calls = [], [0]
+    real = wright_fisher.draw_block_normals
+
+    def counting_draw(streams, out):
+        drawn.append(out.shape)
+        return real(streams, out)
+
+    def counting_sigma(x):
+        calls[0] += 1
+        return _sine(x)
+
+    monkeypatch.setattr(wright_fisher, "draw_block_normals", counting_draw)
+    lhs, rhs = reciprocity_check(counting_sigma, 0.0, 64, 0, sigma_min=0.5,
+                                 sigma_max=1.5)
+    assert (lhs.value, rhs.value) == RECIPROCITY_PINS[(0.0, 64, 0, 1e-3, 8192)]
+    width = paths.panel_steps(64, 4200)
+    assert width == 256
+    assert drawn[-4:] == [(64, 256)] * 3 + [(64, 232)]
+    sde_panels, sde_steps = drawn[:-4], calls[0] - 1000
+    assert sde_steps < 4200
+    assert sde_panels == [(64, 256)] * math.ceil(sde_steps / width)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, 5.0, 1.5, 0.3, 3e-3,
+                                float("nan"), float("inf"), 1e-320])
+def test_reciprocity_rejects_dt_that_does_not_divide_the_unit_interval(dt):
+    with pytest.raises(ValueError, match="dt"):
+        reciprocity_check(_sine, 0.0, 8, 0, sigma_min=0.5, sigma_max=1.5, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.1, 0.01, 1e-3])
+def test_reciprocity_accepts_dt_that_divides_the_unit_interval(dt):
+    sq_e = math.sqrt(math.e)
+    lhs, rhs = reciprocity_check(lambda x: np.full_like(x, sq_e), 0.0, 4, 0,
+                                 sigma_min=sq_e, sigma_max=sq_e, dt=dt)
+    assert lhs.value == pytest.approx(1.0 / (2.0 * math.e), abs=1e-12)
+    assert rhs.value == pytest.approx(1.0 / (2.0 * math.e), abs=1e-12)
