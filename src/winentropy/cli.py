@@ -235,6 +235,9 @@ def _cmd_density_vs_mc(args, out):
     finals = ens.observe(lambda bs: Snapshots([ens.n_steps], bs))
     surv = finals[np.isnan(finals[:, 1]), 0]
     n_surv = len(surv)
+    if n_surv == 0:
+        raise NumericalError(f"no path survived to t={args.t} (all {args.paths} "
+                             "absorbed); use more paths or a smaller --t")
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     counts, _ = np.histogram(surv, edges)
     mass = wright_fisher.transition_density_mass(args.t, args.x0)

@@ -40,8 +40,9 @@ def _check_sigma(s):
 def xlogx(s):
     """s*log(s) with the 0*log(0)=0 convention, elementwise."""
     a = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
+    # log(1) * 0 = +0.0; NaN and negative inputs give NaN
+    out = np.log(np.where(a == 0, 1.0, a))
+    out *= a
     if np.ndim(s) == 0:
         return float(out)
     return out
@@ -110,6 +111,9 @@ class _StepSums:
     Steps past the cutoff (w = 0, a suffix of the grid) are skipped, so an
     infinite integrand there contributes nothing.  Each step is added on
     its own, so the sums do not depend on block size or chunk length.
+    When every f is 0 at 0, a path whose variances in a chunk are all
+    exactly 0 (an absorbed one) is skipped for that chunk: it would only
+    add zeros.
     """
 
     def __init__(self, fs, w, bs):
@@ -117,17 +121,23 @@ class _StepSums:
         self.w = w
         self.n_used = int(np.count_nonzero(w > 0))
         self.acc = np.zeros((len(fs), bs))
+        self.skip_zeros = not any(np.any(f(np.array([0.0, -0.0]))) for f in fs)
 
     def chunk(self, k0, states, step_variance):
         k1 = min(k0 + len(step_variance), self.n_used)
         if k1 <= k0:
             return
-        sv = step_variance[:k1 - k0]
-        contrib = np.empty((k1 - k0,) + self.acc.shape)
+        sv, acc = step_variance[:k1 - k0], self.acc
+        cols = np.flatnonzero(sv.any(axis=0)) if self.skip_zeros else None
+        if cols is not None and len(cols) < acc.shape[1]:
+            sv, acc = sv[:, cols], acc[:, cols]
+        contrib = np.empty((k1 - k0,) + acc.shape)
         for i, f in enumerate(self.fs):
             np.multiply(f(sv), self.w[k0:k1, None], out=contrib[:, i])
         for row in contrib:
-            self.acc += row
+            acc += row
+        if acc is not self.acc:
+            self.acc[:, cols] = acc
 
     def result(self, absorption_time):
         return self.acc.T

@@ -14,6 +14,9 @@ PANEL_ELEMENTS values) and one chunk of states and step variances, and
 an observer keeps only what it reduces to (per-path sums, snapshots at
 chosen grid nodes).  A counter-based stream gives the same normals
 however its draws are cut, so the panel width never changes a result.
+A path absorbed before a panel starts draws no normals in it, and a
+reduction skips a path's chunk whose variances are all 0, since an
+absorbed path's state and integrals no longer change.
 Full (paths, steps) arrays exist only where a caller asks for them:
 materialize, iter_blocks, path, the exporters and user functions given
 to reduce_paths.

@@ -40,25 +40,36 @@ def _check_seed(seed):
 # simulators
 # ---------------------------------------------------------------------------
 
-def _normal_panels(seed, lo, hi, n_steps):
-    """Yield (k0, z): normals of paths lo..hi-1 for steps k0..k0+m-1 as (bs, m).
+def _normal_panels(seed, lo, hi, n_steps, abst=None):
+    """Yield (k0, z, live): normals of paths lo + live for steps k0..k0+m-1.
 
+    Row j of z, a (len(live), m) array, belongs to path lo + live[j].
     Panels span panel_steps(bs, n_steps) steps, the last one fewer, and
     each is drawn only when the caller asks for it, into one buffer the
     caller must be done with by then.  A block that fits in one panel
     builds each path's stream, draws from it and drops it; a longer one
-    keeps its bs streams alive between panels.  It draws through this
-    module's draw_block_normals attribute, which benchmarks/tracing.py
-    wraps to time the normals layer.
+    keeps its streams alive between panels.  Given the block's
+    absorption times abst (NaN while a path is live), each panel after
+    the first draws only for the paths still live at its start, into
+    its top rows, and drops the other streams: an absorbed path's step
+    variance is exactly 0, so no normal could move it again.  It draws
+    through this module's draw_block_normals attribute, which
+    benchmarks/tracing.py wraps to time the normals layer.
     """
     bs = hi - lo
     width = panel_steps(bs, n_steps)
     streams = (path_rng(seed, i) for i in range(lo, hi))
     if width < n_steps:
         streams = list(streams)
+    live = np.arange(bs)
     panel = np.empty((bs, width))
     for k0 in range(0, n_steps, width):
-        yield k0, draw_block_normals(streams, panel[:, :min(width, n_steps - k0)])
+        if k0 and abst is not None:
+            keep = np.isnan(abst[live])
+            streams = [s for s, k in zip(streams, keep) if k]
+            live = live[keep]
+        z = panel[:len(live), :min(width, n_steps - k0)]
+        yield k0, draw_block_normals(streams, z), live
 
 
 class _EulerRecipe:
@@ -69,7 +80,9 @@ class _EulerRecipe:
     preallocated (T+1, bs) state and (T, bs) variance buffers, and hands
     each chunk to the observers.  It holds one panel of the block's
     normals (_normal_panels), a whole number of chunks wide, and draws
-    the next panel when the stepping reaches its end.
+    the next panel when the stepping reaches its end, only for the paths
+    abst still marks live; absorbed paths step with normals of 0, which
+    leave their states and zero variances exactly as they are.
 
     new_step(x, abst) sets up one block, given its first state x and its
     absorption times abst (all NaN), both of which it may edit.  It
@@ -92,10 +105,11 @@ class _EulerRecipe:
         states[0] = self.x0
         abst = np.full(bs, np.nan)
         step = self.new_step(states[0], abst)
-        for p0, z in _normal_panels(self.seed, lo, hi, n_steps):
+        for p0, z, live in _normal_panels(self.seed, lo, hi, n_steps, abst):
+            zt.fill(0.0)    # the columns of absorbed paths
             for c0 in range(0, z.shape[1], t_chunk):
                 k0, m = p0 + c0, min(t_chunk, z.shape[1] - c0)
-                zt[:m] = z[:, c0:c0 + m].T
+                zt[:m, live] = z[:, c0:c0 + m].T
                 for j in range(m):
                     step(k0 + j, states[j], states[j + 1], stepvar[j], zt[j])
                 for obs in observers:
@@ -452,7 +466,7 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
         q = np.zeros(bs)           # running quadratic variation
         acc = np.zeros(bs)
         running = np.ones(bs, dtype=bool)
-        for _, z in _normal_panels(seed, lo, hi, n_steps_r):
+        for _, z, _ in _normal_panels(seed, lo, hi, n_steps_r):
             for zk in z.T:
                 s2 = np.asarray(sigma(x), dtype=float) ** 2
                 cost = 1.0 + xlogx(s2) - s2
@@ -483,7 +497,7 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
         hi = min(lo + block_size, n_paths)
         y = np.full(hi - lo, float(x0))   # Brownian under the reference measure
         acc = np.zeros(hi - lo)
-        for _, z in _normal_panels(lhs_seed, lo, hi, n_steps_l):
+        for _, z, _ in _normal_panels(lhs_seed, lo, hi, n_steps_l):
             for zk in z.T:
                 s2 = np.asarray(sigma(y), dtype=float) ** 2
                 acc += (1.0 / s2 + np.log(s2) - 1.0) * dt

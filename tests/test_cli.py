@@ -118,6 +118,15 @@ def test_density_vs_mc_command(tmp_path):
     assert len(rows) == 9
 
 
+def test_density_vs_mc_without_survivors_exits_3(tmp_path, capsys):
+    # at t = 8 all three paths are absorbed: no histogram to compare
+    code = main(["density-vs-mc", "--paths", "3", "--t", "8",
+                 "--out", str(tmp_path / "dmc.csv")])
+    assert code == 3
+    assert "no path survived to t=8.0" in capsys.readouterr().err
+    assert not (tmp_path / "dmc.csv").exists()
+
+
 def test_md_commands(tmp_path):
     out = tmp_path / "md.json"
     code = main(["md-entropy", "--d", "2", "--paths", "150", "--seed", "4",

@@ -10,8 +10,9 @@ from winentropy.entropy import (LOG_MOMENT, P_WASSERSTEIN, RECIPROCAL, SPECIFIC,
                                 integrand_specific, inverse_t_log_cubed,
                                 p_difference_quotient, p_divergence_estimate,
                                 p_quotient_profile, reciprocal_entropy_estimate,
-                                specific_entropy_estimate)
-from winentropy.paths import constant_variance_ensemble, piecewise_constant_ensemble
+                                specific_entropy_estimate, xlogx)
+from winentropy.paths import (PathEnsemble, constant_variance_ensemble,
+                              piecewise_constant_ensemble)
 
 E = math.e
 
@@ -30,6 +31,30 @@ def test_integrand_specific_values():
     assert integrand_specific(1.0) == 0.0
     assert integrand_specific(0.0) == math.inf
     assert integrand_specific(E) == pytest.approx(E - 2.0, abs=1e-14)
+
+
+def test_xlogx_values():
+    a = np.array([0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5, 1e300, np.inf])
+    out = xlogx(a)
+    assert np.array_equal(out, a * np.log(np.where(a > 0, a, 1.0)))
+    assert out[0] == 0.0 and not np.signbit(out[0])
+    assert xlogx(0.0) == 0.0 and xlogx(1.0) == 0.0
+    assert xlogx(E) == pytest.approx(E, rel=1e-15)
+    assert math.isnan(xlogx(math.nan))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(xlogx(np.array([-1.0, -1e-300]))).all()
+
+
+def test_nan_step_variance_makes_log_moment_nan():
+    # one path's variance is NaN on one step: its integral, and so the
+    # estimate, must be NaN rather than a finite number that dropped it
+    sv = np.full((3, 40), 0.5)
+    sv[1, 7] = math.nan
+    ens = PathEnsemble.from_arrays(np.linspace(0.0, 1.0, 41),
+                                   np.full((3, 41), 0.5), sv)
+    assert math.isnan(entropy_log_moment_estimate(ens).value)
+    rows, lm = p_quotient_profile(ens, [2.5])
+    assert math.isnan(lm.value) and math.isnan(rows[0][1])
 
 
 @pytest.mark.parametrize("fn", [integrand_reciprocal, integrand_specific])

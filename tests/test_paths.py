@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from winentropy import paths, wright_fisher
-from winentropy.entropy import (_step_sums, _step_weights,
+from winentropy.entropy import (_step_sums, _step_weights, _StepSums,
                                 entropy_log_moment_estimate,
                                 integrand_reciprocal, integrand_specific,
                                 p_divergence_estimate, p_quotient_profile,
@@ -441,3 +441,136 @@ def test_lazy_sweep_holds_one_normals_panel():
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * whole, f"sweep peaked at {peak / 1e6:.1f} MB"
+
+
+# -- absorbed paths cost nothing ---------------------------------------------
+
+# (CHUNK_STEPS, PANEL_ELEMENTS) that cut a 661-step block of 48 paths into
+# panels of 40 steps (one chunk each) or of 120 steps (three chunks each)
+LIVE_SPLITS = [(40, 1), (40, 48 * 120)]
+
+
+def _absorbing_ensemble(monkeypatch, lazy):
+    """48 scaled-WF paths from x0 = 0.05 over 661 steps.
+
+    38 are absorbed before t = 0.3, and the last at t = 0.981.
+    """
+    if lazy:
+        monkeypatch.setattr(wright_fisher, "DENSE_ELEMENT_LIMIT", 0)
+    ens = simulate_scaled_wf(0.05, eps=1e-2, n_paths=48, seed=11,
+                             policy=_INV_POLICY)
+    monkeypatch.setattr(wright_fisher, "DENSE_ELEMENT_LIMIT",
+                        paths.DENSE_ELEMENT_LIMIT)
+    assert ens.is_materialized != lazy and ens.n_steps == 661
+    return ens
+
+
+def _count_draws(monkeypatch):
+    shapes = []
+
+    def counting(streams, out):
+        shapes.append(out.shape)
+        return draw_block_normals(streams, out)
+
+    monkeypatch.setattr(wright_fisher, "draw_block_normals", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("split", LIVE_SPLITS)
+def test_panels_after_the_first_draw_only_for_live_paths(monkeypatch, split):
+    monkeypatch.setattr(paths, "CHUNK_STEPS", split[0])
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", split[1])
+    ens = _absorbing_ensemble(monkeypatch, lazy=True)
+    n, bs, times = ens.n_steps, ens.n_paths, ens.times
+    width = panel_steps(bs, n)
+    seen = np.empty((n, bs))
+    recipe = ens._block_fn
+    inner = recipe.new_step
+
+    def recording(x, abst):
+        step = inner(x, abst)
+
+        def wrapped(k, x, xn, var, zk):
+            seen[k] = zk
+            step(k, x, xn, var, zk)
+        return wrapped
+
+    monkeypatch.setattr(recipe, "new_step", recording)
+    shapes = _count_draws(monkeypatch)
+    abst = ens.observe(lambda bs: Snapshots([n], bs))[:, -1]
+    # live at a panel's start: not yet absorbed at that grid node
+    starts = range(0, n, width)
+    live = [np.isnan(abst) | (abst > times[k0]) if k0 else np.ones(bs, bool)
+            for k0 in starts]
+    assert shapes == [(int(m.sum()), min(width, n - k0))
+                      for m, k0 in zip(live, starts)]
+    assert len(shapes) >= 5 and shapes[-1][0] < bs // 4
+    # a live path steps with its own stream's normals, a dead one with 0
+    expect = np.stack([path_rng(ens.master_seed, i).standard_normal(n)
+                       for i in range(bs)], axis=1)
+    for m, k0 in zip(live, starts):
+        expect[k0:k0 + width, ~m] = 0.0
+    assert np.array_equal(seen, expect)
+
+
+@pytest.mark.parametrize("split", LIVE_SPLITS)
+def test_live_only_draws_change_no_result(tmp_path, monkeypatch, split):
+    dense = _absorbing_ensemble(monkeypatch, lazy=False)
+    assert panel_steps(dense.n_paths, dense.n_steps) == dense.n_steps
+    ref = _all_reductions(dense)
+    monkeypatch.setattr(paths, "CHUNK_STEPS", split[0])
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", split[1])
+    shapes = _count_draws(monkeypatch)
+
+    def drew_fewer_than_every_path():
+        # the first panel draws for every path of the block
+        drawn = sum(r * c for r, c in shapes)
+        full = shapes[0][0] * sum(c for _, c in shapes)
+        shapes.clear()
+        return drawn < 0.8 * full
+
+    for lazy in (False, True):
+        ens = _absorbing_ensemble(monkeypatch, lazy)
+        if not lazy:
+            assert drew_fewer_than_every_path()
+            assert np.array_equal(ens._states, dense._states)
+            assert np.array_equal(ens._step_variance, dense._step_variance)
+            assert np.array_equal(ens._absorption_time, dense._absorption_time,
+                                  equal_nan=True)
+        _assert_same(_all_reductions(ens), ref)
+    for name in ("scaled_adaptive", "standard"):
+        shapes.clear()
+        _assert_golden_bytes(tmp_path, name)
+        assert drew_fewer_than_every_path()
+
+
+def test_step_sums_skip_only_paths_with_a_zero_chunk():
+    # 3 chunks and a part; each path's variances are 0 over some stretch
+    n = 3 * CHUNK_STEPS + 17
+    sv = np.random.default_rng(5).uniform(0.05, 3.0, (7, n))
+    sv[0, :CHUNK_STEPS] = 0.0                  # a whole chunk, then positive
+    sv[1, :CHUNK_STEPS + 10] = 0.0             # positive from inside a chunk
+    sv[2, 300:] = 0.0                          # absorbed
+    sv[3] = 0.0
+    sv[4, :CHUNK_STEPS] = -0.0
+    sv[5, CHUNK_STEPS:2 * CHUNK_STEPS] = 0.0
+    sv[5, CHUNK_STEPS + 3] = np.nan            # NaN in an otherwise zero chunk
+    ens = PathEnsemble.from_arrays(np.linspace(0.0, 1.0, n + 1),
+                                   np.full((7, n + 1), 0.5), sv)
+    fs = [xlogx, lambda s: s, lambda s: np.power(s, 1.05),
+          lambda s: np.power(s, 1.5)]
+    w = _step_weights(ens, 0.0)
+    assert _StepSums(fs, w, 7).skip_zeros
+    assert not _StepSums(fs + [integrand_reciprocal], w, 7).skip_zeros
+    assert not _StepSums([integrand_specific], w, 7).skip_zeros
+    for eps in (0.0, 0.4):
+        w = _step_weights(ens, eps)
+        sums = _step_sums(ens, fs, eps)
+        for i in range(ens.n_paths):
+            for j, f in enumerate(fs):
+                acc = 0.0
+                for c, wk in zip(f(sv[i]), w):
+                    if wk > 0:
+                        acc += c * wk
+                assert np.float64(acc).tobytes() == sums[i, j].tobytes()
+    assert np.isnan(sums[5]).all() and sums[3].tobytes() == bytes(8 * len(fs))
