@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .entropy import DivergenceEstimate, integrand_reciprocal
-from .paths import (NumericalError, PathEnsemble, StepPolicy, draw_block_normals,
-                    path_rng)
+from .paths import (NumericalError, PathEnsemble, StepPolicy, _one_shot_streams,
+                    draw_block_normals)
 
 SYMMETRY_TOL = 1e-12
 EIG_NEG_TOL = 1e-10
@@ -173,7 +173,7 @@ def simulate_simplex_wf(d: int, x0, *, eps: float = 1e-2, n_paths: int = 1000,
         hi = min(lo + block, n_paths)
         bs = hi - lo
         # one panel spans the horizon: every state is stored anyway
-        z = draw_block_normals((path_rng(seed, i) for i in range(lo, hi)),
+        z = draw_block_normals(_one_shot_streams(seed, lo, hi),
                                np.empty((bs, n_steps * d))).reshape(bs, n_steps, d)
         x = np.tile(x0, (bs, 1))
         states[lo:hi, 0] = x

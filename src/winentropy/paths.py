@@ -24,7 +24,6 @@ to reduce_paths.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -80,13 +79,26 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _one_shot_streams(master_seed: int, lo: int, hi: int):
+    """Yield path_rng(master_seed, i), i = lo..hi-1, as one generator re-keyed in turn.
+
+    Draw each stream in full before asking for the next; draw_block_normals does.
+    """
+    rng = path_rng(master_seed, lo)
+    state = rng.bit_generator.state     # counter 0, empty buffer: only the key differs
+    for i in range(lo, hi):
+        state["state"]["key"][1] = i
+        rng.bit_generator.state = state
+        yield rng
+
+
 def draw_block_normals(streams, out: np.ndarray) -> np.ndarray:
     """Fill row j of out with the next standard normals of streams[j]; returns out.
 
     Each path draws from its own stream (path_rng) strictly in order, so
     cutting a path's normals into several panels gives the same values.
     """
-    for rng, row in zip(streams, out):
+    for rng, row in zip(streams, out, strict=True):
         rng.standard_normal(out=row)
     return out
 
@@ -409,27 +421,24 @@ class PathEnsemble:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self, path_or_file) -> None:
-        """Columnar CSV (path_id, t, x, sigma_sq); 17 significant digits.
+        """Columnar CSV (path_id, t, x, sigma_sq) as csv.writer writes it; 17 digits.
 
         sigma_sq on a row is the variance used on the step starting at
         that row's t; the final grid time carries 0.
         """
+        rows = [f"%d,{t:.17g},%.17g,%.17g\r\n" for t in self.times.tolist()]
+        # one write per 128 rows: writing a whole path's text at once raised peak RSS
+        parts = [(k, "".join(rows[k:k + 128])) for k in range(0, len(rows), 128)]
         own = isinstance(path_or_file, (str, os.PathLike))
-        fh = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
-            w = csv.writer(fh)
-            w.writerow(["path_id", "t", "x", "sigma_sq"])
+        with open(path_or_file, "w", newline="") if own else nullcontext(path_or_file) as fh:
+            fh.write("path_id,t,x,sigma_sq\r\n")
+            vals = np.zeros((self.n_times, 3))   # path_id (an exact double), x, sigma_sq
             for blk in self.iter_blocks():
                 for j in range(blk.hi - blk.lo):
-                    pid = blk.lo + j
-                    for k in range(self.n_times):
-                        sv = blk.step_variance[j, k] if k < self.n_steps else 0.0
-                        w.writerow([pid, format(self.times[k], ".17g"),
-                                    format(blk.states[j, k], ".17g"),
-                                    format(sv, ".17g")])
-        finally:
-            if own:
-                fh.close()
+                    vals[:, 0], vals[:, 1] = blk.lo + j, blk.states[j]
+                    vals[:-1, 2] = blk.step_variance[j]
+                    for k, part in parts:
+                        fh.write(part % tuple(vals[k:k + 128].ravel().tolist()))
 
     def to_binary(self, path) -> None:
         """Compact binary layout.

@@ -23,8 +23,8 @@ import numpy as np
 
 from .entropy import DivergenceEstimate, _mc_estimate, _per_path_integrals, xlogx
 from .paths import (DENSE_ELEMENT_LIMIT, NumericalError, PathEnsemble,
-                    Snapshots, StepPolicy, chunk_steps, draw_block_normals,
-                    panel_steps, path_rng)
+                    Snapshots, StepPolicy, _one_shot_streams, chunk_steps,
+                    draw_block_normals, panel_steps, path_rng)
 
 DEFAULT_ABSORB_TOL = 1e-6
 
@@ -47,20 +47,20 @@ def _normal_panels(seed, lo, hi, n_steps, abst=None):
     Panels span panel_steps(bs, n_steps) steps, the last one fewer, and
     each is drawn only when the caller asks for it, into one buffer the
     caller must be done with by then.  A block that fits in one panel
-    builds each path's stream, draws from it and drops it; a longer one
-    keeps its streams alive between panels.  Given the block's
-    absorption times abst (NaN while a path is live), each panel after
-    the first draws only for the paths still live at its start, into
-    its top rows, and drops the other streams: an absorbed path's step
-    variance is exactly 0, so no normal could move it again.  It draws
-    through this module's draw_block_normals attribute, which
-    benchmarks/tracing.py wraps to time the normals layer.
+    draws each path's stream once, from one re-keyed generator
+    (_one_shot_streams); a longer one keeps a generator per path alive
+    between panels.  Given the block's absorption times abst (NaN while
+    a path is live), each panel after the first draws only for the paths
+    still live at its start, into its top rows, and drops the other
+    streams: an absorbed path's step variance is exactly 0, so no normal
+    could move it again.  It draws through this module's
+    draw_block_normals attribute, which benchmarks/tracing.py wraps to
+    time the normals layer.
     """
     bs = hi - lo
     width = panel_steps(bs, n_steps)
-    streams = (path_rng(seed, i) for i in range(lo, hi))
-    if width < n_steps:
-        streams = list(streams)
+    streams = _one_shot_streams(seed, lo, hi) if width == n_steps else \
+        [path_rng(seed, i) for i in range(lo, hi)]
     live = np.arange(bs)
     panel = np.empty((bs, width))
     for k0 in range(0, n_steps, width):

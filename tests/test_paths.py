@@ -1,10 +1,15 @@
+import csv
 import hashlib
+import io
+import os
 import struct
+import tempfile
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from winentropy import paths, wright_fisher
 from winentropy.entropy import (_step_sums, _step_weights, _StepSums,
@@ -18,6 +23,7 @@ from winentropy.paths import (ACCURATE_POLICY, CHUNK_STEPS, PathEnsemble,
                               constant_variance_ensemble, draw_block_normals,
                               panel_steps, path_rng,
                               piecewise_constant_ensemble, set_max_workers)
+from winentropy.multidim import simulate_simplex_wf
 from winentropy.wright_fisher import (p_moment_estimate, sigma_martingale_check,
                                       simulate_generic_sde, simulate_scaled_wf,
                                       simulate_standard_wf)
@@ -67,6 +73,85 @@ def test_panel_draws_continue_each_stream():
            for m in (7, 256, 37, 256, 144)]
     assert [g.shape for g in got] == [(3, 7), (3, 256), (3, 37), (3, 256), (3, 144)]
     assert np.array_equal(np.concatenate(got, axis=1), whole)
+
+
+def test_draw_block_normals_needs_one_stream_per_row():
+    with pytest.raises(ValueError):
+        draw_block_normals([path_rng(9, i) for i in range(2)], np.empty((3, 5)))
+    with pytest.raises(ValueError):
+        draw_block_normals([path_rng(9, i) for i in range(4)], np.empty((3, 5)))
+
+
+@pytest.mark.parametrize("seed, lo", [(77, 5), ((1 << 64) - 1, 1 << 40)])
+def test_single_panel_rows_are_fresh_path_streams(seed, lo):
+    hi, n = lo + 7, 40
+    (k0, z, live), = wright_fisher._normal_panels(seed, lo, hi, n)
+    assert k0 == 0 and np.array_equal(live, np.arange(hi - lo))
+    assert np.array_equal(z, np.stack([path_rng(seed, i).standard_normal(n)
+                                       for i in range(lo, hi)]))
+    rows = []
+    for rng in paths._one_shot_streams(seed, lo, hi):
+        rng.standard_normal(3)      # each stream drawn in two calls
+        rows.append(rng.standard_normal(n))
+    assert np.array_equal(np.stack(rows), np.stack(
+        [path_rng(seed, i).standard_normal(3 + n)[3:] for i in range(lo, hi)]))
+
+
+def _count_philox(monkeypatch):
+    made = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    return made
+
+
+def test_one_philox_per_single_panel_block(monkeypatch):
+    dense = _inv_ensemble("materialized", monkeypatch)._states
+    ens = _inv_ensemble("lazy", monkeypatch)
+    made = _count_philox(monkeypatch)
+    monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 5)
+    nodes = range(ens.n_times)
+    assert np.array_equal(ens.observe(lambda bs: Snapshots(nodes, bs))[:, :-1], dense)
+    assert len(made) == 3
+    # several panels per block: each path keeps its own generator
+    made.clear()
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", 1)
+    assert panel_steps(5, ens.n_steps) < ens.n_steps
+    assert np.array_equal(ens.observe(lambda bs: Snapshots(nodes, bs))[:, :-1], dense)
+    assert len(made) == ens.n_paths
+    made.clear()
+    simulate_simplex_wf(2, [0.3, 0.3], eps=0.1, n_paths=9, seed=4,
+                        policy=StepPolicy(base_dt=0.05))
+    assert len(made) == 1
+
+
+def test_two_workers_draw_single_panel_blocks_bit_identically(monkeypatch):
+    dense = _inv_ensemble("materialized", monkeypatch)
+    lazy = _inv_ensemble("lazy", monkeypatch)
+    assert panel_steps(3, lazy.n_steps) == lazy.n_steps
+    monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 3)
+    made = _count_philox(monkeypatch)
+    # the first two blocks meet at a barrier, which only two threads can pass
+    barrier = threading.Barrier(2, timeout=10)
+    seen, lock = [], threading.Lock()
+
+    def make_observer(bs):
+        with lock:
+            seen.append(threading.get_ident())
+            first_two = len(seen) <= 2
+        if first_two:
+            barrier.wait()
+        return Snapshots(range(lazy.n_times), bs)
+
+    set_max_workers(2)
+    got = lazy.observe(make_observer)
+    assert len(seen) == 4 and len(set(seen)) == 2 and len(made) == 4
+    assert got[:, :-1].tobytes() == dense._states.tobytes()
+    assert np.array_equal(got[:, -1], dense._absorption_time, equal_nan=True)
 
 
 def test_panel_steps_are_whole_chunks_within_budget(monkeypatch):
@@ -181,6 +266,95 @@ def test_csv_roundtrip_content(tmp_path):
     assert len(lines) == 1 + 2 * 4
     # final grid time carries no step, variance written as 0
     assert lines[4].split(",")[3] == "0"
+
+
+def _csv_by_rows(ens, fh):
+    """CSV export with one csv.writer row and three format(v, ".17g") calls per row."""
+    w = csv.writer(fh)
+    w.writerow(["path_id", "t", "x", "sigma_sq"])
+    for blk in ens.iter_blocks():
+        for j in range(blk.hi - blk.lo):
+            pid = blk.lo + j
+            for k in range(ens.n_times):
+                sv = blk.step_variance[j, k] if k < ens.n_steps else 0.0
+                w.writerow([pid, format(ens.times[k], ".17g"),
+                            format(blk.states[j, k], ".17g"),
+                            format(sv, ".17g")])
+
+
+_CSV_EDGES = [-0.0, 5e-324, 1e16, 0.1, 1 - 2**-53]
+_csv_times = st.one_of(st.sampled_from(_CSV_EDGES),
+                       st.floats(-1e300, 1e300))   # grid steps stay finite
+_csv_values = st.one_of(st.sampled_from(_CSV_EDGES + [np.nan, np.inf, -np.inf]),
+                        st.floats())
+
+
+@st.composite
+def _csv_case(draw):
+    n_paths, n_times = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    times = sorted(draw(st.lists(_csv_times, min_size=n_times,
+                                 max_size=n_times, unique=True)))
+    values = st.lists(_csv_values, min_size=n_paths * n_times,
+                      max_size=n_paths * n_times)
+    states = np.reshape(draw(values), (n_paths, n_times))
+    stepvar = np.reshape(draw(values), (n_paths, n_times))[:, 1:]
+    return (times, states, stepvar, draw(st.integers(1, n_paths)),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=300)
+@given(_csv_case())
+def test_csv_bytes_match_the_csv_module(case):
+    times, states, stepvar, block, lazy, to_file = case
+    if lazy:
+        ens = PathEnsemble(times, len(states), 0, "s", 0.5, times[0], 0.0,
+                           block_fn=lambda lo, hi: (states[lo:hi], stepvar[lo:hi],
+                                                    np.full(hi - lo, np.nan)))
+    else:
+        ens = PathEnsemble.from_arrays(times, states, stepvar)
+    # blocks of `block` paths, so path ids run on across blocks
+    ens._default_block_size = lambda: block
+    ref = io.StringIO()
+    _csv_by_rows(ens, ref)
+    if to_file:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "e.csv")
+            ens.to_csv(out)
+            with open(out, "rb") as fh:
+                got = fh.read()
+    else:
+        buf = io.StringIO()
+        ens.to_csv(buf)
+        got = buf.getvalue().encode()
+    assert got == ref.getvalue().encode()
+
+
+class _RecordingFile:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+
+def test_csv_writes_at_most_128_rows_of_one_path_at_a_time(monkeypatch):
+    # a lazy ensemble of 10 paths over 318 times, streamed in blocks of 4
+    monkeypatch.setattr(wright_fisher, "DENSE_ELEMENT_LIMIT", 0)
+    ens = simulate_scaled_wf(0.3, eps=0.05, n_paths=10, seed=31,
+                             policy=StepPolicy(base_dt=0.003, shrink=0.2))
+    monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 4)
+    n = ens.n_times
+    assert not ens.is_materialized and len(ens._ranges(None)) == 3 and n == 318
+    rec = _RecordingFile()
+    ens.to_csv(rec)
+    ref = io.StringIO()
+    _csv_by_rows(ens, ref)
+    lines = ref.getvalue().splitlines(keepends=True)
+    pieces = ["".join(lines[1 + i * n + k:1 + i * n + min(k + 128, n)])
+              for i in range(ens.n_paths) for k in range(0, n, 128)]
+    assert rec.writes == [lines[0]] + pieces
+    assert lines[-1].startswith("9,") and lines[-1].endswith(",0\r\n")
 
 
 def test_binary_roundtrip(tmp_path):
