@@ -159,6 +159,13 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     # explicit flag wins over the config value
     assert json.loads(out2.read_text())["n_paths"] == 32
 
+    # ... even when it equals the flag's default
+    out3 = tmp_path / "e3.json"
+    code = main(["entropy", "--eps", "0.1", "--base-dt", "0.01",
+                 "--paths", "10000", "--config", str(cfg), "--out", str(out3)])
+    assert code == 0
+    assert json.loads(out3.read_text())["n_paths"] == 10000
+
 
 def test_validation_exit_codes(tmp_path, capsys):
     assert main(["value", "--t", "1.0", "--x", "0.5",
@@ -282,3 +289,113 @@ def test_any_config_value_ends_in_documented_exit_code(tmp_path_factory, case):
     finally:
         set_max_workers(None)
     assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *_CHEAP_FLAGS["simulate"], "--format", "json"],
+    ["value", *_CHEAP_FLAGS["value"], "--format", "binary"],
+    ["counterexample", *_CHEAP_FLAGS["counterexample"], "--format", "csv"],
+])
+def test_format_outside_the_commands_kinds_exits_2(tmp_path, capsys, argv):
+    code, written = run(tmp_path, *argv, "--out", str(tmp_path / "artifact"))
+    assert code == 2
+    assert written == set()
+    assert "--format" in capsys.readouterr().err
+
+
+def test_threads_flag_is_scoped_to_its_call(tmp_path, monkeypatch):
+    from winentropy import closed_form, paths
+    seen = []
+    monkeypatch.setattr(closed_form, "value_function",
+                        lambda t, x: seen.append(paths.get_max_workers()) or 0.0)
+    paths.set_max_workers(None)
+    monkeypatch.setenv("WINENTROPY_THREADS", "1")
+    argv = ["value", "--t", "0", "--x", "0.5", "--threads", "4"]
+    assert main(argv + ["--out", str(tmp_path / "v.json")]) == 0
+    assert seen == [4]
+    assert paths._MAX_WORKERS is None and paths.get_max_workers() == 1
+    # restored on a failing call too
+    assert main(argv + ["--out", str(tmp_path / "no" / "v.json")]) == 2
+    assert paths._MAX_WORKERS is None
+
+
+def _explicit_values(command, flags):
+    from winentropy.cli import build_parser
+    ap, _ = build_parser()
+    return vars(ap.parse_args([command, *flags]))
+
+
+@pytest.mark.parametrize("command", sorted(_CHEAP_FLAGS))
+def test_manifest_records_every_resolved_flag(tmp_path, command):
+    out = tmp_path / "artifact"
+    assert main([command, *_CHEAP_FLAGS[command], "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "artifact.manifest.json").read_text())
+    params = manifest["parameters"]
+    expected = set(_config_keys(command)) - {"format", "threads", "seed"}
+    assert expected <= set(params), expected - set(params)
+    for key, value in _explicit_values(command, _CHEAP_FLAGS[command]).items():
+        if key in expected:
+            assert params[key] == value, key
+    assert manifest["seed"] == (0 if "seed" in _config_keys(command) else None)
+
+
+def test_manifest_records_resolved_dp_steps(tmp_path):
+    from winentropy.pde import DpSpec
+    out = tmp_path / "dp.csv"
+    assert main(["dp-solve", "--nx", "8", "--eps", "0.05", "--out", str(out)]) == 0
+    params = json.loads((tmp_path / "dp.csv.manifest.json").read_text())["parameters"]
+    spec = DpSpec.balanced(n_x=8, eps=0.05)
+    assert params["nt"] == spec.n_t and params["penalty_K"] == spec.resolved_penalty
+
+
+# sha256 of each artifact at _CHEAP_FLAGS (plus the listed flags), pinned
+# before the command table replaced the hand-written parser
+_GOLDEN = {
+    "value": "4bed206080b84c116b5fe28a1c1a589fedc690b60e55ca804777aed120ed9b8b",
+    "sigma-star": "ae26d95617f83ff6bfbdb15f7c9a11eec82b802d0f3cf9f01ef44829684efd14",
+    "hjb-residual": "03f04ed4006df726da3309b7db273c23445fd38f232199a353f7f26be41d241b",
+    "stationary-solve": "c0169c88dd388172487f2d0fd5c53c3e5c9e89403b914321a084b1f1b8e4b94c",
+    "dp-solve": "923e8dacaf20b79ea14b5d918bd8d736117f06bf4a7a8c6eb23cb45bcf94982e",
+    "dp-refine": "cc0a8d7420ff005b5c414dd71f645afea0329f2467226506d25ba0bee3f9f3af",
+    "simulate": "b402c98f47f08590669aae8d40b8d4f9b514bffae304a4a9ff712505591f3452",
+    "entropy": "2500070fd1bfa7c6477e1023d31f35e009b3f8f0c7880b556de6190f94fa4ba2",
+    "p-divergence": "2fb46013884be9c3737b831a52790a4acc28a0e9967524db2edc978992db5e48",
+    "p-derivative": "a72e5afd1f17e4f20fccb0df511197fcece171eb0bfd356aac56434a3fd1b0c5",
+    "sigma-martingale": "e199392ca07768efafb79b963ffa1eb14d6be996588e1e699f7f9584183222f1",
+    "moment": "a4cb11dd0a8adf799aeab9587e27344f33d167ae8f03986fd3cba63ed9c8de60",
+    "density": "c099bd9b6e3ed3643ad0b01d76c6c70e28276dfd59ac0fb17550dffdcbd65f7a",
+    "density-vs-mc": "18d4595d428b9a3b3edf20e5883ee11d7bdcac1290a398fab5d3b6d16e45d026",
+    "trinomial": "19c4faca2864d0f2ed9426968bea1c3acb2e9853b09650e4602c2cdb4ad0baab",
+    "counterexample": "048b7cded8205cab35aa1072426b3b4ec655ef905f32778b9242716cfc8269ac",
+    "reciprocity": "10740a9d3fc270545a80938441e86213fc49410ade8300eb26aa440e71eddc33",
+    "md-entropy": "f02ac9709a17728c33a86eb6978b2d642ea0cae1deeeda0d9611ecafd43df057",
+    "md-search": "15a6546e734dc814aac49523ed95f1e8c89ea8c3c9d2c532a2ab79d4425efdfd",
+    "simulate --format binary": "6a47c568c7aee801d098b455d0be2b9d002efddcf29ffd3db0ed77727a24b0ed",
+    "simulate --scheme standard": "cffd45fc72c2c4607f22d61194df4f737ee9db445eaf7108793435fd10a67e12",
+    "hjb-residual --format json": "af2f1868bac9ebb7f12cb47738fe8d13abb2844378cda9a2febbcb8fc07c3078",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_artifact_bytes_are_pinned(tmp_path, case):
+    import hashlib
+    command, *extra = case.split()
+    out = tmp_path / "artifact"
+    assert main([command, *_CHEAP_FLAGS[command], *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN[case]
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    import argparse
+    argv = ["value", "--t", "0", "--x", "0.5", "--out", str(tmp_path / "v.json")]
+    assert main(argv) == 0
+    calls = []
+    original = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(argv) == 0
+    assert main(["sigma-star", *argv[1:]]) == 0
+    assert calls == []
