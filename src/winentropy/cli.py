@@ -42,6 +42,14 @@ def _write_csv(path, header, rows):
                               else str(v) for v in row) + "\n")
 
 
+def _json_cell(v):
+    """A row cell for strict JSON: integers stay integers, NaN and inf become null."""
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    v = float(v)
+    return v if math.isfinite(v) else None
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -469,7 +477,7 @@ def main(argv=None) -> int:
         payload, extras = body(args)
         if fmt == "json" and kinds[0] == "csv":
             header, rows = payload
-            payload = [dict(zip(header, (float(v) for v in r))) for r in rows]
+            payload = [dict(zip(header, map(_json_cell, r))) for r in rows]
         if fmt == "csv" and payload is not None:
             _write_csv(out, *payload)
         elif fmt == "json":

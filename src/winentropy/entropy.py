@@ -153,7 +153,7 @@ def _per_path_integrals(ens: PathEnsemble, f: Callable, eps: float) -> np.ndarra
     return _step_sums(ens, [f], eps)[:, 0]
 
 
-def _mc_estimate(vals: np.ndarray, factor: float, ens, eps, flavor) -> DivergenceEstimate:
+def _mc_estimate(vals: np.ndarray, factor: float, eps, flavor) -> DivergenceEstimate:
     n = len(vals)
     if np.any(np.isinf(vals)):
         return DivergenceEstimate(math.inf, math.inf, n, eps, flavor)
@@ -166,21 +166,21 @@ def reciprocal_entropy_estimate(ens: PathEnsemble, eps: float | None = None) -> 
     """(1/2) E[int (S log S + 1 - S) dt] over [t0, 1-eps]."""
     eps = _resolve_eps(ens, eps)
     vals = _per_path_integrals(ens, integrand_reciprocal, eps)
-    return _mc_estimate(vals, 0.5, ens, eps, RECIPROCAL)
+    return _mc_estimate(vals, 0.5, eps, RECIPROCAL)
 
 
 def specific_entropy_estimate(ens: PathEnsemble, eps: float | None = None) -> DivergenceEstimate:
     """(1/2) E[int (S - log S - 1) dt]; +inf if any path sits at S=0."""
     eps = _resolve_eps(ens, eps)
     vals = _per_path_integrals(ens, integrand_specific, eps)
-    return _mc_estimate(vals, 0.5, ens, eps, SPECIFIC)
+    return _mc_estimate(vals, 0.5, eps, SPECIFIC)
 
 
 def entropy_log_moment_estimate(ens: PathEnsemble, eps: float | None = None) -> DivergenceEstimate:
     """(1/2) E[int S log S dt], the win-martingale value functional."""
     eps = _resolve_eps(ens, eps)
     vals = _per_path_integrals(ens, xlogx, eps)
-    return _mc_estimate(vals, 0.5, ens, eps, LOG_MOMENT)
+    return _mc_estimate(vals, 0.5, eps, LOG_MOMENT)
 
 
 def p_divergence_estimate(ens: PathEnsemble, p: float, eps: float | None = None) -> DivergenceEstimate:
@@ -189,7 +189,7 @@ def p_divergence_estimate(ens: PathEnsemble, p: float, eps: float | None = None)
         raise ValueError("p must be positive")
     eps = _resolve_eps(ens, eps)
     vals = _per_path_integrals(ens, lambda s: np.power(s, p / 2.0), eps)
-    return _mc_estimate(vals, 1.0, ens, eps, f"{P_WASSERSTEIN}({p})")
+    return _mc_estimate(vals, 1.0, eps, f"{P_WASSERSTEIN}({p})")
 
 
 def p_difference_quotient(ens: PathEnsemble, p: float, eps: float | None = None) -> float:
@@ -222,7 +222,7 @@ def p_quotient_profile(ens: PathEnsemble, ps: Sequence[float], eps: float | None
         q = (cols[:, i] - cols[:, -2]) / (p - 2.0)
         se = 0.0 if n < 2 else float(q.std(ddof=1) / math.sqrt(n))
         rows.append((p, float(q.mean()), se))
-    lm = _mc_estimate(cols[:, -1], 0.5, ens, eps, LOG_MOMENT)
+    lm = _mc_estimate(cols[:, -1], 0.5, eps, LOG_MOMENT)
     return rows, lm
 
 

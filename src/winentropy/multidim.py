@@ -22,7 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropy import DivergenceEstimate, integrand_reciprocal
+from .entropy import (DivergenceEstimate, _mc_estimate, _resolve_eps, _step_weights,
+                      integrand_reciprocal)
 from .paths import (NumericalError, PathEnsemble, StepPolicy, _one_shot_streams,
                     draw_block_normals)
 
@@ -230,14 +231,9 @@ def md_reciprocal_entropy(ens: MdEnsemble, eps: float | None = None,
     eigenvalues of the step covariance rate, recomputed from the stored
     states, so ensembles stay light in memory.
     """
-    eps = float(ens.eps) if eps is None else float(eps)
-    if not (0.0 <= eps < 1.0):
-        raise ValueError("eps must lie in [0, 1)")
-    tcut = 1.0 - eps
-    if ens.times[-1] < tcut - 1e-12:
-        raise ValueError("ensemble grid ends before the requested cutoff")
+    eps = _resolve_eps(ens, eps)
+    w = _step_weights(ens, eps)
     cov = cov_fn or wf_covariance
-    w = np.maximum(np.minimum(ens.times[1:], tcut) - ens.times[:-1], 0.0)
     n = ens.n_paths
     vals = np.zeros(n)
     chunk = max(1, 2_000_000 // (ens.states.shape[1] * ens.d * ens.d))
@@ -252,9 +248,7 @@ def md_reciprocal_entropy(ens: MdEnsemble, eps: float | None = None,
         lam = np.maximum(np.linalg.eigvalsh(C), 0.0)
         integrand = integrand_reciprocal(lam).sum(axis=-1)
         vals[lo:hi] = (integrand * w[used]).sum(axis=1)
-    mean = 0.5 * float(vals.mean())
-    se = 0.0 if n < 2 else 0.5 * float(vals.std(ddof=1) / math.sqrt(n))
-    return DivergenceEstimate(mean, se, n, eps, "md_reciprocal")
+    return _mc_estimate(vals, 0.5, eps, "md_reciprocal")
 
 
 # ---------------------------------------------------------------------------

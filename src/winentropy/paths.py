@@ -6,7 +6,9 @@ counter-based generator keyed by (master_seed, path_index), so the same
 seed reproduces the same ensemble bit for bit, no matter how the paths
 are partitioned into blocks or how many worker threads reduce them.
 
-A lazy ensemble holds only its simulation recipe.  A reduction streams
+An ensemble is stored one of two ways: as arrays (read from a file,
+built by from_arrays, or materialized on request) or, as every
+simulator returns it, as its recipe alone.  A reduction streams
 each block of paths through observers, time-major, one chunk of at most
 CHUNK_STEPS steps at a time: while a block is stepped, the recipe holds
 one panel of the block's normals (a whole number of chunks, about
@@ -37,8 +39,8 @@ ENSEMBLE_MAGIC = b"WMEN"
 ENSEMBLE_FORMAT_VERSION = 1
 
 DEFAULT_BLOCK_SIZE = 8192
-# states + step variances above this many elements stay lazy
-DENSE_ELEMENT_LIMIT = 8_000_000
+# materialize refuses an ensemble of more states + step variances than this
+DENSE_ELEMENT_LIMIT = 240_000_000
 # a time-major chunk handed to observers spans at most CHUNK_STEPS steps,
 # and fewer in wide blocks, so one chunk buffer holds about CHUNK_ELEMENTS
 # values
@@ -229,20 +231,18 @@ def _feed_arrays(states, step_variance, observers) -> None:
 class PathEnsemble:
     """A seeded collection of sample paths sharing one time grid.
 
-    Either fully materialized (states/step_variance arrays present) or
-    lazy.  A lazy ensemble's block_fn either maps (lo, hi) to that
-    block's (states, step_variance, absorption_time) arrays, or is a
-    streaming recipe: an object whose stream(lo, hi, observers) steps
-    the block, hands it to the observers chunk by chunk and returns the
-    absorption times.  All reductions are computed per path and
-    assembled in path order, so results do not depend on block size,
-    chunk length, storage or thread count.
+    It holds either arrays (states, step variances and absorption times:
+    from_arrays, from_binary, materialize) or a streaming recipe: an
+    object whose stream(lo, hi, observers) steps paths lo..hi-1, hands
+    them to the observers chunk by chunk and returns their absorption
+    times.  All reductions are computed per path and assembled in path
+    order, so results do not depend on block size, chunk length, storage
+    or thread count.
     """
 
     def __init__(self, times, n_paths, master_seed, scheme, x0, t0, eps,
                  states=None, step_variance=None, absorption_time=None,
-                 block_fn: Optional[Callable[[int, int], tuple]] = None,
-                 bounded=True):
+                 recipe=None, bounded=True):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("times must be a 1-d grid with at least 2 nodes")
@@ -264,9 +264,9 @@ class PathEnsemble:
             self._absorption_time = None
         else:
             self._absorption_time = np.asarray(absorption_time, dtype=float)
-        self._block_fn = block_fn
-        if self._states is None and self._block_fn is None:
-            raise ValueError("ensemble needs either arrays or a block recipe")
+        self._recipe = recipe
+        if self._states is None and self._recipe is None:
+            raise ValueError("ensemble needs either arrays or a recipe")
         if self._states is not None:
             if self._states.shape != (self.n_paths, self.n_times):
                 raise ValueError("states shape does not match grid")
@@ -310,24 +310,20 @@ class PathEnsemble:
 
     def _stream(self, lo: int, hi: int, observers) -> np.ndarray:
         """Hand paths lo..hi-1 to observers; returns their absorption times."""
-        if self._states is None and hasattr(self._block_fn, "stream"):
-            return self._block_fn.stream(lo, hi, observers)
-        blk = self._get_block(lo, hi)
-        _feed_arrays(blk.states, blk.step_variance, observers)
-        return blk.absorption_time
+        if not self.is_materialized:
+            return self._recipe.stream(lo, hi, observers)
+        _feed_arrays(self._states[lo:hi], self._step_variance[lo:hi], observers)
+        return self._absorption_time[lo:hi]
 
     def _get_block(self, lo: int, hi: int) -> _Block:
         if self.is_materialized:
             return _Block(lo, hi, self._states[lo:hi],
                           self._step_variance[lo:hi],
                           self._absorption_time[lo:hi])
-        if hasattr(self._block_fn, "stream"):
-            store = _Store(np.empty((hi - lo, self.n_times)),
-                           np.empty((hi - lo, self.n_steps)))
-            abst = self._block_fn.stream(lo, hi, [store])
-            return _Block(lo, hi, store.states, store.step_variance, abst)
-        states, stepvar, abst = self._block_fn(lo, hi)
-        return _Block(lo, hi, states, stepvar, abst)
+        store = _Store(np.empty((hi - lo, self.n_times)),
+                       np.empty((hi - lo, self.n_steps)))
+        abst = self._recipe.stream(lo, hi, [store])
+        return _Block(lo, hi, store.states, store.step_variance, abst)
 
     def iter_blocks(self, block_size: Optional[int] = None) -> Iterator[_Block]:
         for lo, hi in self._ranges(block_size):
@@ -385,20 +381,19 @@ class PathEnsemble:
     def materialize(self) -> "PathEnsemble":
         if self.is_materialized:
             return self
-        n_el = 2 * self.n_paths * self.n_times
-        if n_el > 30 * DENSE_ELEMENT_LIMIT:
+        if 2 * self.n_paths * self.n_times > DENSE_ELEMENT_LIMIT:
             raise MemoryError("ensemble too large to materialize; "
                               "use iter_blocks/reduce_paths")
         states = np.empty((self.n_paths, self.n_times))
         stepvar = np.empty((self.n_paths, self.n_steps))
         abst = np.empty(self.n_paths)
         for lo, hi in self._ranges(None):
-            abst[lo:hi] = self._stream(
+            abst[lo:hi] = self._recipe.stream(
                 lo, hi, [_Store(states[lo:hi], stepvar[lo:hi])])
         self._states = states
         self._step_variance = stepvar
         self._absorption_time = abst
-        self._block_fn = None
+        self._recipe = None
         return self
 
     # -- construction helpers ---------------------------------------------

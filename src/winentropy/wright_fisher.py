@@ -22,9 +22,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .entropy import DivergenceEstimate, _mc_estimate, _per_path_integrals, xlogx
-from .paths import (DENSE_ELEMENT_LIMIT, NumericalError, PathEnsemble,
-                    Snapshots, StepPolicy, _one_shot_streams, chunk_steps,
-                    draw_block_normals, panel_steps, path_rng)
+from .paths import (NumericalError, PathEnsemble, Snapshots, StepPolicy,
+                    _one_shot_streams, chunk_steps, draw_block_normals,
+                    panel_steps, path_rng)
 
 DEFAULT_ABSORB_TOL = 1e-6
 
@@ -193,10 +193,9 @@ def simulate_scaled_wf(x0: float, t0: float = 0.0, *, eps: float = 1e-3,
     times = policy.time_grid(t0, 1.0 - eps)
     scheme = (f"scaled_wf|base_dt={policy.base_dt}|adaptive={policy.adaptive}"
               f"|shrink={policy.shrink}|absorb_tol={absorb_tol}")
-    ens = PathEnsemble(times, n_paths, seed, scheme, x0, t0, eps,
-                       block_fn=_EulerRecipe(times, x0, seed,
-                                              _wf_step(times, absorb_tol, True)))
-    return _maybe_materialize(ens)
+    return PathEnsemble(times, n_paths, seed, scheme, x0, t0, eps,
+                        recipe=_EulerRecipe(times, x0, seed,
+                                            _wf_step(times, absorb_tol, True)))
 
 
 def simulate_standard_wf(x0: float, horizon: float, dt: float, *,
@@ -209,21 +208,21 @@ def simulate_standard_wf(x0: float, horizon: float, dt: float, *,
         raise ValueError("horizon must be finite and nonnegative")
     seed = _check_seed(seed)
     if horizon == 0.0:
-        # no time to evolve: every path is the constant x0
-        return PathEnsemble.from_arrays(
-            np.array([0.0, 1e-12]),
-            np.full((n_paths, 2), float(x0)),
-            np.zeros((n_paths, 1)),
-            scheme="standard_wf|degenerate", master_seed=seed, eps=0.0)
+        # no time to evolve: every path is the constant x0, stepped once
+        # with zero volatility
+        times = np.array([0.0, 1e-12])
+        return PathEnsemble(times, n_paths, seed, "standard_wf|degenerate",
+                            float(x0), 0.0, 0.0,
+                            recipe=_EulerRecipe(times, x0, seed,
+                                                _sde_step(times, np.zeros_like)))
     if not (0 < dt <= horizon):
         raise ValueError("need 0 < dt <= horizon")
     n_steps = max(1, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n_steps + 1)
     scheme = f"standard_wf|dt={dt}|absorb_tol={absorb_tol}"
-    ens = PathEnsemble(times, n_paths, seed, scheme, x0, 0.0, 0.0,
-                       block_fn=_EulerRecipe(times, x0, seed,
-                                              _wf_step(times, absorb_tol, False)))
-    return _maybe_materialize(ens)
+    return PathEnsemble(times, n_paths, seed, scheme, x0, 0.0, 0.0,
+                        recipe=_EulerRecipe(times, x0, seed,
+                                            _wf_step(times, absorb_tol, False)))
 
 
 def simulate_generic_sde(sigma: Callable[[np.ndarray], np.ndarray], x0: float,
@@ -247,16 +246,9 @@ def simulate_generic_sde(sigma: Callable[[np.ndarray], np.ndarray], x0: float,
     seed = _check_seed(seed)
     n_steps = max(1, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n_steps + 1)
-    ens = PathEnsemble(times, n_paths, seed, "generic_sde", x0, 0.0, 0.0,
-                       block_fn=_EulerRecipe(times, x0, seed, _sde_step(times, sigma)),
-                       bounded=False)
-    return _maybe_materialize(ens)
-
-
-def _maybe_materialize(ens: PathEnsemble) -> PathEnsemble:
-    if 2 * ens.n_paths * ens.n_times <= DENSE_ELEMENT_LIMIT:
-        ens.materialize()
-    return ens
+    return PathEnsemble(times, n_paths, seed, "generic_sde", x0, 0.0, 0.0,
+                        recipe=_EulerRecipe(times, x0, seed, _sde_step(times, sigma)),
+                        bounded=False)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +306,7 @@ def p_moment_estimate(ens: PathEnsemble, q: float, eps: float | None = None) -> 
         raise ValueError("q must be positive")
     eps = float(ens.eps) if eps is None else float(eps)
     vals = _per_path_integrals(ens, lambda s: np.power(s, q), eps)
-    return _mc_estimate(vals, 1.0, ens, eps, f"sigma_moment({q})")
+    return _mc_estimate(vals, 1.0, eps, f"sigma_moment({q})")
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +496,5 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
                 y = y + sq_dt * zk
         lhs_vals[lo:hi] = acc
 
-    def _est(vals, flavor):
-        m = 0.5 * float(vals.mean())
-        se = 0.0 if n_paths < 2 else \
-            0.5 * float(vals.std(ddof=1) / math.sqrt(n_paths))
-        return DivergenceEstimate(m, se, n_paths, 0.0, flavor)
-
-    return _est(lhs_vals, "reciprocity_lhs"), _est(rhs_vals, "reciprocity_rhs")
+    return (_mc_estimate(lhs_vals, 0.5, 0.0, "reciprocity_lhs"),
+            _mc_estimate(rhs_vals, 0.5, 0.0, "reciprocity_rhs"))

@@ -30,7 +30,7 @@ from winentropy.entropy import (LOG_MOMENT, P_WASSERSTEIN,
                                 deterministic_divergence, integrand_reciprocal,
                                 inverse_t_log_cubed, p_quotient_profile)
 from winentropy.multidim import quantum_entropy_rate
-from winentropy.paths import ACCURATE_POLICY, StepPolicy
+from winentropy.paths import ACCURATE_POLICY, Snapshots, StepPolicy
 from winentropy.pde import (DpSpec, default_refinement_specs,
                             dp_refinement_study, dp_step, solve_dp,
                             solve_stationary)
@@ -274,10 +274,9 @@ def test_criterion_10_reciprocity():
 def test_criterion_11_density_cross_validation():
     t_obs, x0, n_bins = 0.5, 0.5, 20
     ens = simulate_standard_wf(x0, t_obs, 5e-4, n_paths=N_BIG, seed=314159)
-    alive = ens.reduce_paths(
-        lambda b: np.isnan(b.absorption_time).astype(float)).astype(bool)
-    finals = ens.reduce_paths(lambda b: b.states[:, -1])
-    surv = finals[alive]
+    # one sweep: each path's final state, then its absorption time
+    finals = ens.observe(lambda bs: Snapshots([ens.n_steps], bs))
+    surv = finals[np.isnan(finals[:, 1]), 0]
     n_surv = len(surv)
 
     n_terms = density_truncation_terms(t_obs, tol=1e-10)
@@ -403,7 +402,7 @@ def test_criterion_13_property_suites():
 
     # simulator invariants on a fresh small ensemble
     ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=500, seed=990,
-                             policy=StepPolicy(base_dt=2e-3))
+                             policy=StepPolicy(base_dt=2e-3)).materialize()
     checks["paths in [0,1]"] = bool(np.all((ens._states >= 0) & (ens._states <= 1)))
     frozen_ok = True
     for i in range(ens.n_paths):

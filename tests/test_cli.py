@@ -202,6 +202,21 @@ def test_csv_to_json_format_override(tmp_path):
     assert isinstance(payload, list) and "residual" in payload[0]
 
 
+def test_row_json_is_strict_and_keeps_integers(tmp_path):
+    out = tmp_path / "refine.json"
+    assert main(["dp-refine", "--levels", "2", "--nx0", "8", "--eps", "0.05",
+                 "--format", "json", "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    rows = json.loads(out.read_text(), parse_constant=reject)
+    assert [(r["n_x"], type(r["n_x"]), type(r["n_t"])) for r in rows] == \
+        [(8, int, int), (16, int, int)]
+    # the first level has no previous level to compare with
+    assert rows[0]["gap_to_previous"] is None
+    assert isinstance(rows[1]["gap_to_previous"], float)
+
+
 def test_config_values_are_cast_by_flag_type(tmp_path):
     cfg = tmp_path / "c.cfg"
     out = tmp_path / "dp.csv"

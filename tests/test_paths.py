@@ -110,8 +110,8 @@ def _count_philox(monkeypatch):
 
 
 def test_one_philox_per_single_panel_block(monkeypatch):
-    dense = _inv_ensemble("materialized", monkeypatch)._states
-    ens = _inv_ensemble("lazy", monkeypatch)
+    dense = _inv_ensemble("materialized")._states
+    ens = _inv_ensemble("lazy")
     made = _count_philox(monkeypatch)
     monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 5)
     nodes = range(ens.n_times)
@@ -130,8 +130,8 @@ def test_one_philox_per_single_panel_block(monkeypatch):
 
 
 def test_two_workers_draw_single_panel_blocks_bit_identically(monkeypatch):
-    dense = _inv_ensemble("materialized", monkeypatch)
-    lazy = _inv_ensemble("lazy", monkeypatch)
+    dense = _inv_ensemble("materialized")
+    lazy = _inv_ensemble("lazy")
     assert panel_steps(3, lazy.n_steps) == lazy.n_steps
     monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 3)
     made = _count_philox(monkeypatch)
@@ -191,18 +191,52 @@ def test_sample_path_accessor():
 
 
 def test_lazy_blocks_match_materialized():
-    # same recipe evaluated lazily and densely must agree bit for bit
-    pol = StepPolicy(base_dt=5e-3)
-    a = simulate_scaled_wf(0.4, eps=0.05, n_paths=300, seed=99, policy=pol)
-    assert a.is_materialized
-    b = PathEnsemble(a.times, a.n_paths, a.master_seed, a.scheme, a.x0,
-                     a.t0, a.eps, block_fn=lambda lo, hi: (
-                         a._states[lo:hi].copy(),
-                         a._step_variance[lo:hi].copy(),
-                         a._absorption_time[lo:hi].copy()))
-    for bs in (32, 77, 300):
-        got = b.reduce_paths(lambda blk: blk.states[:, -1], block_size=bs)
-        assert np.array_equal(got, a._states[:, -1])
+    # the same recipe streamed block by block and materialized agrees bit for bit
+    ens = simulate_scaled_wf(0.4, eps=0.05, n_paths=300, seed=99,
+                             policy=StepPolicy(base_dt=5e-3))
+
+    def rows(blk):
+        return np.column_stack([blk.states, blk.step_variance, blk.absorption_time])
+
+    lazy = {bs: ens.reduce_paths(rows, block_size=bs) for bs in (32, 77, 300)}
+    assert not ens.is_materialized
+    ens.materialize()
+    for bs, got in lazy.items():
+        assert got.tobytes() == ens.reduce_paths(rows, block_size=bs).tobytes()
+
+
+_SIMULATIONS = {
+    "scaled": lambda: simulate_scaled_wf(0.2, eps=0.05, n_paths=3, seed=41,
+                                         policy=StepPolicy(base_dt=0.01)),
+    "standard": lambda: simulate_standard_wf(0.2, 1.0, 0.01, n_paths=3, seed=42),
+    "standard_zero_horizon": lambda: simulate_standard_wf(0.2, 0.0, 0.01,
+                                                          n_paths=3, seed=43),
+    "generic_sde": lambda: simulate_generic_sde(
+        lambda x: 1.0 + 0.5 * np.sin(x), 0.0, 4.0, 0.01, n_paths=3, seed=44,
+        sigma_min=0.5, sigma_max=1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATIONS))
+def test_simulators_return_recipes(name):
+    ens = _SIMULATIONS[name]()
+    assert not ens.is_materialized
+    blocks = list(ens.iter_blocks(block_size=2))
+    assert not ens.is_materialized
+    ens.materialize()
+    for field in ("states", "step_variance", "absorption_time"):
+        streamed = np.concatenate([getattr(b, field) for b in blocks])
+        assert getattr(ens, "_" + field).tobytes() == streamed.tobytes(), field
+
+
+def test_materialize_refuses_more_than_the_dense_limit():
+    # 1e6 paths x 121 times: 242M states and step variances, over the 240M limit
+    ens = simulate_standard_wf(0.5, 1.2, 0.01, n_paths=1_000_000, seed=1)
+    assert ens.n_times == 121
+    assert 2 * ens.n_paths * ens.n_times > paths.DENSE_ELEMENT_LIMIT
+    with pytest.raises(MemoryError, match="too large to materialize"):
+        ens.materialize()
+    assert not ens.is_materialized
 
 
 def test_reduction_independent_of_workers():
@@ -242,18 +276,18 @@ def test_two_workers_run_every_block_on_the_pool(n_blocks):
 
 
 def test_simulation_determinism_same_seed():
-    a = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=5)
-    b = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=5)
+    a = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=5).materialize()
+    b = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=5).materialize()
     assert np.array_equal(a._states, b._states)
     assert np.array_equal(a._step_variance, b._step_variance)
-    c = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=6)
+    c = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=6).materialize()
     assert not np.array_equal(a._states, c._states)
 
 
 def test_prefix_stability_across_ensemble_size():
     # per-path streams: the first paths do not depend on ensemble size
-    a = simulate_scaled_wf(0.5, eps=0.05, n_paths=16, seed=11)
-    b = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=11)
+    a = simulate_scaled_wf(0.5, eps=0.05, n_paths=16, seed=11).materialize()
+    b = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=11).materialize()
     assert np.array_equal(a._states, b._states[:16])
 
 
@@ -302,14 +336,24 @@ def _csv_case(draw):
             draw(st.booleans()), draw(st.booleans()))
 
 
+class _ArrayRecipe:
+    """A streaming recipe that hands stored arrays to the observers."""
+
+    def __init__(self, states, step_variance):
+        self.states, self.step_variance = states, step_variance
+
+    def stream(self, lo, hi, observers):
+        paths._feed_arrays(self.states[lo:hi], self.step_variance[lo:hi], observers)
+        return np.full(hi - lo, np.nan)
+
+
 @settings(max_examples=300)
 @given(_csv_case())
 def test_csv_bytes_match_the_csv_module(case):
     times, states, stepvar, block, lazy, to_file = case
     if lazy:
         ens = PathEnsemble(times, len(states), 0, "s", 0.5, times[0], 0.0,
-                           block_fn=lambda lo, hi: (states[lo:hi], stepvar[lo:hi],
-                                                    np.full(hi - lo, np.nan)))
+                           recipe=_ArrayRecipe(states, stepvar))
     else:
         ens = PathEnsemble.from_arrays(times, states, stepvar)
     # blocks of `block` paths, so path ids run on across blocks
@@ -340,7 +384,6 @@ class _RecordingFile:
 
 def test_csv_writes_at_most_128_rows_of_one_path_at_a_time(monkeypatch):
     # a lazy ensemble of 10 paths over 318 times, streamed in blocks of 4
-    monkeypatch.setattr(wright_fisher, "DENSE_ELEMENT_LIMIT", 0)
     ens = simulate_scaled_wf(0.3, eps=0.05, n_paths=10, seed=31,
                              policy=StepPolicy(base_dt=0.003, shrink=0.2))
     monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 4)
@@ -363,6 +406,7 @@ def test_binary_roundtrip(tmp_path):
     out = tmp_path / "ens.bin"
     ens.to_binary(out)
     back = PathEnsemble.from_binary(out)
+    ens.materialize()
     assert np.array_equal(back.times, ens.times)
     assert np.array_equal(back._states, ens._states)
     assert np.array_equal(back._step_variance, ens._step_variance)
@@ -497,25 +541,15 @@ _INV_FS = [integrand_reciprocal, integrand_specific, xlogx, lambda s: s,
            lambda s: np.power(s, 1.05), lambda s: np.power(s, 1.5)]
 
 
-def _inv_ensemble(storage, monkeypatch):
-    """The same 12 seeded scaled-WF paths, stored three ways.
+def _inv_ensemble(storage):
+    """The same 12 seeded scaled-WF paths, "lazy" or "materialized".
 
     661 steps; 10 of the paths are absorbed before t = 0.6 and 2 after.
     """
-    if storage == "lazy":
-        monkeypatch.setattr(wright_fisher, "DENSE_ELEMENT_LIMIT", 0)
     ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=12, seed=17,
                              policy=_INV_POLICY)
-    assert ens.is_materialized == (storage != "lazy")
-    if storage == "user_block_fn":
-        dense = ens
-        ens = PathEnsemble(dense.times, dense.n_paths, dense.master_seed,
-                           dense.scheme, dense.x0, dense.t0, dense.eps,
-                           block_fn=lambda lo, hi: (
-                               dense._states[lo:hi].copy(),
-                               dense._step_variance[lo:hi].copy(),
-                               dense._absorption_time[lo:hi].copy()))
-    return ens
+    assert not ens.is_materialized
+    return ens.materialize() if storage == "materialized" else ens
 
 
 def _all_reductions(ens):
@@ -547,8 +581,8 @@ def _assert_same(a, b):
             assert a[k] == b[k], k
 
 
-def test_streamed_reductions_are_time_order_sums(monkeypatch):
-    ens = _inv_ensemble("materialized", monkeypatch)
+def test_streamed_reductions_are_time_order_sums():
+    ens = _inv_ensemble("materialized")
     # chunks of CHUNK_STEPS steps, the last one shorter
     assert chunk_steps(ens.n_paths, ens.n_steps) == CHUNK_STEPS
     assert ens.n_steps > 2 * CHUNK_STEPS and ens.n_steps % CHUNK_STEPS != 0
@@ -571,10 +605,10 @@ def test_streamed_reductions_are_time_order_sums(monkeypatch):
 
 
 def test_reductions_independent_of_storage_blocks_and_workers(monkeypatch):
-    ref = _all_reductions(_inv_ensemble("materialized", monkeypatch))
+    ref = _all_reductions(_inv_ensemble("materialized"))
     assert ref["estimates"][1] == np.inf
-    for storage in ("lazy", "user_block_fn", "materialized"):
-        ens = _inv_ensemble(storage, monkeypatch)
+    for storage in ("lazy", "materialized"):
+        ens = _inv_ensemble(storage)
         for bs in (1, 7, ens.n_paths):
             for workers in (1, 4):
                 monkeypatch.setattr(PathEnsemble, "_default_block_size",
@@ -586,12 +620,12 @@ def test_reductions_independent_of_storage_blocks_and_workers(monkeypatch):
 
 @pytest.mark.parametrize("split", PANEL_SPLITS)
 def test_reductions_independent_of_normals_panels(monkeypatch, split):
-    dense = _inv_ensemble("materialized", monkeypatch)
+    dense = _inv_ensemble("materialized")
     ref = _all_reductions(dense)
     monkeypatch.setattr(paths, "CHUNK_STEPS", split[0])
     monkeypatch.setattr(paths, "PANEL_ELEMENTS", split[1])
     for storage in ("materialized", "lazy"):
-        ens = _inv_ensemble(storage, monkeypatch)
+        ens = _inv_ensemble(storage)
         assert panel_steps(ens.n_paths, ens.n_steps) < ens.n_steps
         if storage == "materialized":
             assert np.array_equal(ens._states, dense._states)
@@ -624,17 +658,15 @@ def test_lazy_sweep_holds_one_normals_panel():
 LIVE_SPLITS = [(40, 1), (40, 48 * 120)]
 
 
-def _absorbing_ensemble(monkeypatch, lazy):
+def _absorbing_ensemble(lazy):
     """48 scaled-WF paths from x0 = 0.05 over 661 steps.
 
     38 are absorbed before t = 0.3, and the last at t = 0.981.
     """
-    if lazy:
-        monkeypatch.setattr(wright_fisher, "DENSE_ELEMENT_LIMIT", 0)
     ens = simulate_scaled_wf(0.05, eps=1e-2, n_paths=48, seed=11,
                              policy=_INV_POLICY)
-    monkeypatch.setattr(wright_fisher, "DENSE_ELEMENT_LIMIT",
-                        paths.DENSE_ELEMENT_LIMIT)
+    if not lazy:
+        ens.materialize()
     assert ens.is_materialized != lazy and ens.n_steps == 661
     return ens
 
@@ -654,11 +686,11 @@ def _count_draws(monkeypatch):
 def test_panels_after_the_first_draw_only_for_live_paths(monkeypatch, split):
     monkeypatch.setattr(paths, "CHUNK_STEPS", split[0])
     monkeypatch.setattr(paths, "PANEL_ELEMENTS", split[1])
-    ens = _absorbing_ensemble(monkeypatch, lazy=True)
+    ens = _absorbing_ensemble(lazy=True)
     n, bs, times = ens.n_steps, ens.n_paths, ens.times
     width = panel_steps(bs, n)
     seen = np.empty((n, bs))
-    recipe = ens._block_fn
+    recipe = ens._recipe
     inner = recipe.new_step
 
     def recording(x, abst):
@@ -689,7 +721,7 @@ def test_panels_after_the_first_draw_only_for_live_paths(monkeypatch, split):
 
 @pytest.mark.parametrize("split", LIVE_SPLITS)
 def test_live_only_draws_change_no_result(tmp_path, monkeypatch, split):
-    dense = _absorbing_ensemble(monkeypatch, lazy=False)
+    dense = _absorbing_ensemble(lazy=False)
     assert panel_steps(dense.n_paths, dense.n_steps) == dense.n_steps
     ref = _all_reductions(dense)
     monkeypatch.setattr(paths, "CHUNK_STEPS", split[0])
@@ -704,7 +736,7 @@ def test_live_only_draws_change_no_result(tmp_path, monkeypatch, split):
         return drawn < 0.8 * full
 
     for lazy in (False, True):
-        ens = _absorbing_ensemble(monkeypatch, lazy)
+        ens = _absorbing_ensemble(lazy)
         if not lazy:
             assert drew_fewer_than_every_path()
             assert np.array_equal(ens._states, dense._states)

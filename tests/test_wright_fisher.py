@@ -24,14 +24,15 @@ FAST = StepPolicy(base_dt=2e-3)
 # ---------------------------------------------------------------------------
 
 def test_scaled_wf_from_boundary_is_frozen():
-    ens = simulate_scaled_wf(0.0, eps=0.1, n_paths=8, seed=1, policy=FAST)
+    ens = simulate_scaled_wf(0.0, eps=0.1, n_paths=8, seed=1, policy=FAST).materialize()
     assert np.all(ens._states == 0.0)
     assert np.all(ens._step_variance == 0.0)
     assert np.all(ens._absorption_time == 0.0)
 
 
 def test_scaled_wf_martingale_and_bounds():
-    ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=4000, seed=20, policy=FAST)
+    ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=4000, seed=20,
+                             policy=FAST).materialize()
     assert np.all(ens._states >= 0.0) and np.all(ens._states <= 1.0)
     term = ens._states[:, -1]
     se = term.std(ddof=1) / math.sqrt(ens.n_paths)
@@ -39,7 +40,7 @@ def test_scaled_wf_martingale_and_bounds():
 
 
 def test_scaled_wf_absorption_is_permanent():
-    ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=300, seed=3, policy=FAST)
+    ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=300, seed=3, policy=FAST).materialize()
     for i in range(ens.n_paths):
         at = ens._absorption_time[i]
         if np.isnan(at):
@@ -55,7 +56,7 @@ def test_scaled_wf_absorbed_fraction_grows_as_eps_shrinks():
     fracs = []
     for eps in (1e-1, 1e-2, 1e-3):
         ens = simulate_scaled_wf(0.5, eps=eps, n_paths=2000, seed=4,
-                                 policy=StepPolicy(base_dt=1e-3, shrink=0.05))
+                                 policy=StepPolicy(base_dt=1e-3, shrink=0.05)).materialize()
         fracs.append(np.isfinite(ens._absorption_time).mean())
     assert fracs[0] < fracs[1] < fracs[2]
     # terminal law is two-point, so nearly everything is absorbed late
@@ -72,7 +73,7 @@ def test_standard_wf_heterozygosity_decay():
 
 
 def test_standard_wf_zero_horizon():
-    ens = simulate_standard_wf(0.3, 0.0, 1e-3, n_paths=6, seed=6)
+    ens = simulate_standard_wf(0.3, 0.0, 1e-3, n_paths=6, seed=6).materialize()
     assert np.all(ens._states == 0.3)
 
 
@@ -239,7 +240,8 @@ def test_moment_series_bound_dominates_mc():
 
 def test_generic_sde_brownian_quadratic_variation():
     ens = simulate_generic_sde(lambda x: np.ones_like(x), 0.0, 1.0, 1e-2,
-                               n_paths=16, seed=14, sigma_min=1.0, sigma_max=1.0)
+                               n_paths=16, seed=14, sigma_min=1.0,
+                               sigma_max=1.0).materialize()
     qv = (ens._step_variance * ens.dts).sum(axis=1)
     assert np.allclose(qv, 1.0, atol=1e-12)
 
@@ -247,7 +249,7 @@ def test_generic_sde_brownian_quadratic_variation():
 def test_generic_sde_records_variance_exactly():
     sig = lambda x: 1.0 + 0.5 * np.sin(x)
     ens = simulate_generic_sde(sig, 0.0, 4.0, 1e-2, n_paths=8, seed=15,
-                               sigma_min=0.5, sigma_max=1.5)
+                               sigma_min=0.5, sigma_max=1.5).materialize()
     expect = sig(ens._states[:, :-1]) ** 2
     assert np.array_equal(ens._step_variance, expect)
     # quadratic variation of every path exceeds 1 by the horizon rule
