@@ -43,7 +43,13 @@ def _write_csv(path, header, rows):
 
 
 def _json_cell(v):
-    """A row cell for strict JSON: integers stay integers, NaN and inf become null."""
+    """A value for strict JSON, at any depth: integers stay integers, NaN and inf become null."""
+    if isinstance(v, dict):
+        return {k: _json_cell(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_cell(x) for x in v]
+    if v is None or isinstance(v, (bool, str)):
+        return v
     if isinstance(v, (int, np.integer)):
         return int(v)
     v = float(v)
@@ -52,7 +58,7 @@ def _json_cell(v):
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_json_cell(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -477,7 +483,7 @@ def main(argv=None) -> int:
         payload, extras = body(args)
         if fmt == "json" and kinds[0] == "csv":
             header, rows = payload
-            payload = [dict(zip(header, map(_json_cell, r))) for r in rows]
+            payload = [dict(zip(header, r)) for r in rows]
         if fmt == "csv" and payload is not None:
             _write_csv(out, *payload)
         elif fmt == "json":

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .paths import PathEnsemble
 
@@ -331,6 +330,7 @@ def deterministic_divergence(vol: DeterministicVolatility, flavor: str,
                          "with a log_time_form")
     integrand = _log_time_integrand(vol, flavor, p)
     upper = math.inf if delta == 0.0 else 1.0 + math.log(1.0 / delta)
+    from scipy import integrate   # before errstate: an FP event on import is no divergence
     with np.errstate(over="raise"):
         try:
             val, _ = integrate.quad(integrand, 1.0, upper,

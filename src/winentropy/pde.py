@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .closed_form import GridFunction, value_function
 
@@ -55,6 +54,7 @@ def solve_stationary(spec: StationarySolveSpec | int) -> GridFunction:
     singularity at the endpoints is integrable and covered by the
     Dirichlet data.
     """
+    from scipy.linalg import solve_banded   # imported here: `import winentropy` loads no scipy
     if isinstance(spec, int):
         spec = StationarySolveSpec(spec)
     n = spec.n_x

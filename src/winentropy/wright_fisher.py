@@ -15,6 +15,7 @@ weak bias is O(dt) and is absorbed into the acceptance tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -387,14 +388,17 @@ def transition_density(t: float, x: float, y, n_terms: Optional[int] = None):
     return float(out) if np.ndim(y) == 0 else out
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
+@functools.cache
+def _unit_gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [0, 1], built on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def transition_density_mass(t: float, x: float,
                             n_terms: Optional[int] = None) -> float:
     """int_0^1 rho(t, x, y) dy by Gauss-Legendre quadrature (survival mass)."""
-    ynodes = 0.5 * (_GL_NODES + 1.0)
-    w = 0.5 * _GL_WEIGHTS
+    ynodes, w = _unit_gauss_legendre(128)
     return float(np.sum(transition_density(t, x, ynodes, n_terms) * w))
 
 

@@ -217,6 +217,20 @@ def test_row_json_is_strict_and_keeps_integers(tmp_path):
     assert isinstance(rows[1]["gap_to_previous"], float)
 
 
+def test_object_json_is_strict(tmp_path):
+    # an absorbed path makes the specific entropy and its error infinite
+    out = tmp_path / "ent.json"
+    assert main(["entropy", "--flavor", "specific", "--paths", "64", "--eps", "1e-3",
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert payload["value"] is None and payload["std_error"] is None
+    assert payload["n_paths"] == 64 and payload["flavor"] == "specific"
+    json.loads((tmp_path / "ent.json.manifest.json").read_text(), parse_constant=reject)
+
+
 def test_config_values_are_cast_by_flag_type(tmp_path):
     cfg = tmp_path / "c.cfg"
     out = tmp_path / "dp.csv"
