@@ -26,8 +26,7 @@ from .multidim import (matrix_log, md_reciprocal_entropy, perturbation_search,
 from .paths import (ACCURATE_POLICY, NumericalError, PathEnsemble, SamplePath,
                     StepPolicy, constant_variance_ensemble,
                     piecewise_constant_ensemble, set_max_workers)
-from .pde import (DpSpec, StationarySolveSpec, dp_refinement_study, solve_dp,
-                  solve_stationary)
+from .pde import DpSpec, dp_refinement_study, solve_dp, solve_stationary
 from .trinomial import (TrinomialSpec, extended_entropy, one_step_kl,
                         scaled_path_entropy, scaling_limit_gap)
 from .wright_fisher import (jacobi_p11, moment_series_bound, p_moment_estimate,

@@ -17,6 +17,7 @@ wins.  `--threads` caps reduction workers for its own call only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -391,7 +392,7 @@ def _cmd_md_search(args):
           + (f"best {best.value:.5f} ({best.shape}, theta={best.theta:+.3g}); "
              if best else "no feasible candidate; ")
           + f"significant improvement: {report.improves_significantly}")
-    return json.loads(report.to_json()), {}
+    return dataclasses.asdict(report), {}
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:

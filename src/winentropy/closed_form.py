@@ -73,10 +73,14 @@ def _sq_log_sq(x):
         return np.where(x > 0, 2.0 * x * x * np.log(np.where(x > 0, x, 1.0)), 0.0)
 
 
+def _profile(a):
+    return -(0.25 * _sq_log_sq(a) + 0.25 * _sq_log_sq(1.0 - a) + a * (1.0 - a))
+
+
 def stationary_profile(x):
     """f(x); f(0)=f(1)=0 and f<0 inside the interval."""
     a = _check_x(x)
-    out = -(0.25 * _sq_log_sq(a) + 0.25 * _sq_log_sq(1.0 - a) + a * (1.0 - a))
+    out = _profile(a)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -86,8 +90,7 @@ def value_function(t, x):
     """vbar(t, x) = f(x) - (1/2) log(1-t) x(1-x), exact."""
     tt = _check_t(t)
     a = _check_x(x)
-    out = (-(0.25 * _sq_log_sq(a) + 0.25 * _sq_log_sq(1.0 - a) + a * (1.0 - a))
-           - 0.5 * np.log1p(-tt) * a * (1.0 - a))
+    out = _profile(a) - 0.5 * np.log1p(-tt) * a * (1.0 - a)
     if np.ndim(t) == 0 and np.ndim(x) == 0:
         return float(out)
     return out

@@ -254,20 +254,6 @@ def inverse_t_log_cubed() -> DeterministicVolatility:
     )
 
 
-def _flavor_fn(flavor: str, p: float | None):
-    if flavor == RECIPROCAL:
-        return integrand_reciprocal
-    if flavor == SPECIFIC:
-        return integrand_specific
-    if flavor == LOG_MOMENT:
-        return xlogx
-    if flavor == P_WASSERSTEIN:
-        if p is None or not p > 0:
-            raise ValueError("p_wasserstein flavor needs p > 0")
-        return lambda s: np.power(s, p / 2.0)
-    raise ValueError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
-
-
 def _log_time_integrand(vol, flavor, p):
     """Integrand in u = ln(e/t) of  f(sigma^2(t)) dt  over one of the flavors.
 
@@ -313,18 +299,21 @@ def _log_time_integrand(vol, flavor, p):
 
 
 def deterministic_divergence(vol: DeterministicVolatility, flavor: str,
-                             delta: float, p: float | None = None,
-                             rel_tol: float = 1e-8) -> float:
+                             delta: float, p: float | None = None) -> float:
     """Quadrature of the chosen integrand of sigma^2(t) over [delta, 1].
 
     Integrates in the substituted variable u = ln(e/t), which removes
-    the integrable singularity at t=0.  delta=0 evaluates the improper
-    integral over (0, 1]; that needs the volatility's log_time_form, and
-    it is the caller's business that the chosen flavor converges there.
+    the integrable singularity at t=0, to relative tolerance 1e-8.
+    delta=0 evaluates the improper integral over (0, 1]; that needs the
+    volatility's log_time_form, and it is the caller's business that the
+    chosen flavor converges there.
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
-    _flavor_fn(flavor, p)  # validates flavor/p
+    if flavor not in _FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
+    if flavor == P_WASSERSTEIN and (p is None or not p > 0):
+        raise ValueError("p_wasserstein flavor needs p > 0")
     if delta == 0.0 and vol.log_time_form is None:
         raise ValueError("delta=0 (improper integral) requires a volatility "
                          "with a log_time_form")
@@ -334,7 +323,7 @@ def deterministic_divergence(vol: DeterministicVolatility, flavor: str,
     with np.errstate(over="raise"):
         try:
             val, _ = integrate.quad(integrand, 1.0, upper,
-                                    epsrel=rel_tol, epsabs=0.0, limit=400)
+                                    epsrel=1e-8, epsabs=0.0, limit=400)
         except (FloatingPointError, OverflowError) as exc:
             raise ValueError(
                 f"quadrature of {vol.name} failed (divergent flavor at delta={delta}?)"

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
-from .entropy import (DivergenceEstimate, _mc_estimate, _resolve_eps, _step_weights,
-                      integrand_reciprocal)
+from .entropy import DivergenceEstimate, _mc_estimate, _step_weights, integrand_reciprocal
 from .paths import (NumericalError, PathEnsemble, StepPolicy, _one_shot_streams,
                     draw_block_normals)
+from .wright_fisher import DEFAULT_ABSORB_TOL
 
 SYMMETRY_TOL = 1e-12
 EIG_NEG_TOL = 1e-10
@@ -52,12 +52,12 @@ def _psd_eigh(m, name="matrix"):
     return np.maximum(w, 0.0), v
 
 
-def matrix_log(m, tol: float = 1e-12):
+def matrix_log(m):
     """Logarithm of a symmetric positive definite matrix via eigh."""
     a = _check_symmetric(m)
     w, v = np.linalg.eigh(a)
-    if w.min() <= tol:
-        raise ValueError(f"matrix_log needs eigenvalues > {tol}; "
+    if w.min() <= 1e-12:
+        raise ValueError(f"matrix_log needs eigenvalues > 1e-12; "
                          f"got min eigenvalue {w.min():.3e}")
     return (v * np.log(w)) @ v.T
 
@@ -142,15 +142,15 @@ def _batched_psd_sqrt(C):
 
 def simulate_simplex_wf(d: int, x0, *, eps: float = 1e-2, n_paths: int = 1000,
                         seed: int = 0, policy: Optional[StepPolicy] = None,
-                        absorb_tol: float = 1e-6,
                         cov_fn: Optional[Callable] = None) -> MdEnsemble:
     """Euler-Maruyama on the sub-probability simplex up to 1-eps.
 
     Per step the covariance (cov_fn(x, t), default the Wright-Fisher
     covariance) is square-rooted by eigendecomposition; proposals are
-    projected back onto the simplex, coordinates within absorb_tol of a
-    face are snapped, and a path freezes once it reaches a vertex.
-    Covariance square-root failures retry the step at halved dt.
+    projected back onto the simplex, coordinates within
+    DEFAULT_ABSORB_TOL of a face are snapped, and a path freezes once it
+    reaches a vertex.  A block whose states are not all finite, as a
+    cov_fn that returns NaN or inf leaves them, raises NumericalError.
     """
     if not 1 <= d <= 4:
         raise ValueError("d must lie in 1..4")
@@ -182,32 +182,26 @@ def simulate_simplex_wf(d: int, x0, *, eps: float = 1e-2, n_paths: int = 1000,
         for k in range(n_steps):
             if alive.any():
                 xa = x[alive]
-                C = cov(xa, times[k]) * dts[k]
-                try:
-                    root = _batched_psd_sqrt(C)
-                except np.linalg.LinAlgError:
-                    # retry once at halved step: propagate over two half-steps
-                    half = 0.5 * dts[k]
-                    root = _batched_psd_sqrt(cov(xa, times[k]) * half)
-                    xa = xa + np.einsum("bij,bj->bi", root, z[alive, k])
-                    _project_simplex(xa)
-                    root = _batched_psd_sqrt(cov(xa, times[k] + half) * half)
+                root = _batched_psd_sqrt(cov(xa, times[k]) * dts[k])
                 xa = xa + np.einsum("bij,bj->bi", root, z[alive, k])
                 _project_simplex(xa)
                 # faces are absorbing: snap coordinates within tolerance;
                 # a coordinate snapped to 1 forces its siblings to 0
-                xa[xa <= absorb_tol] = 0.0
-                big = xa >= 1.0 - absorb_tol
+                xa[xa <= DEFAULT_ABSORB_TOL] = 0.0
+                big = xa >= 1.0 - DEFAULT_ABSORB_TOL
                 has_big = big.any(axis=-1)
                 if has_big.any():
                     xa[has_big] = np.where(big[has_big], 1.0, 0.0)
                 x[alive] = xa
-                newly = alive & _is_vertex(x, absorb_tol)
+                newly = alive & _is_vertex(x, DEFAULT_ABSORB_TOL)
                 abst[lo:hi][newly] = times[k + 1]
                 alive &= ~newly
             states[lo:hi, k + 1] = x
+        if not np.isfinite(states[lo:hi]).all():
+            raise NumericalError("simplex WF states are not finite; "
+                                 "the covariance function returned NaN or inf")
     scheme = (f"simplex_wf|d={d}|base_dt={policy.base_dt}"
-              f"|shrink={policy.shrink}|absorb_tol={absorb_tol}")
+              f"|shrink={policy.shrink}|absorb_tol={DEFAULT_ABSORB_TOL}")
     return MdEnsemble(times, states, abst, int(seed), scheme, x0, 0.0, eps)
 
 
@@ -223,15 +217,15 @@ def scalar_view(ens: MdEnsemble) -> PathEnsemble:
         x0=float(ens.x0[0]), t0=ens.t0, eps=ens.eps)
 
 
-def md_reciprocal_entropy(ens: MdEnsemble, eps: float | None = None,
+def md_reciprocal_entropy(ens: MdEnsemble,
                           cov_fn: Optional[Callable] = None) -> DivergenceEstimate:
-    """(1/2) E[int tr(S log S) + d - tr(S) dt] along simplex paths.
+    """(1/2) E[int tr(S log S) + d - tr(S) dt] along simplex paths, up to 1 - ens.eps.
 
     The integrand equals the scalar reciprocal integrand summed over the
     eigenvalues of the step covariance rate, recomputed from the stored
     states, so ensembles stay light in memory.
     """
-    eps = _resolve_eps(ens, eps)
+    eps = float(ens.eps)
     w = _step_weights(ens, eps)
     cov = cov_fn or wf_covariance
     n = ens.n_paths
@@ -268,9 +262,9 @@ def _shape_tilt(x):
     return x[..., 0] - x[..., -1] if x.shape[-1] > 1 else x[..., 0] - 0.5
 
 
-DEFAULT_SHAPES = (("flat", _shape_flat),
-                  ("balance", _shape_balance),
-                  ("tilt", _shape_tilt))
+SEARCH_SHAPES = (("flat", _shape_flat),
+                 ("balance", _shape_balance),
+                 ("tilt", _shape_tilt))
 
 
 def perturbed_covariance(theta: float, g: Callable) -> Callable:
@@ -313,26 +307,19 @@ class SearchReport:
     seed: int = 0
 
     def to_json(self) -> str:
-        def enc(o):
-            if isinstance(o, SearchCandidate):
-                return o.__dict__
-            raise TypeError
-        return json.dumps(self.__dict__, default=enc, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def perturbation_search(d: int, x0, budget: int = 18, *, n_paths: int = 2000,
                         eps: float = 1e-2, seed: int = 0,
-                        shapes: Sequence = DEFAULT_SHAPES,
-                        theta_bound: float = 0.75,
-                        policy: Optional[StepPolicy] = None,
-                        vertex_tol: float = 1e-2,
-                        min_vertex_fraction: float = 0.9) -> SearchReport:
+                        policy: Optional[StepPolicy] = None) -> SearchReport:
     """Local search over perturbed volatilities against the WF baseline.
 
-    Every candidate is evaluated with the same seed (common random
-    numbers), must keep paths on the simplex and terminate at vertices
-    (checked empirically; infeasible members are excluded but reported),
-    and is compared to the baseline at 3 combined standard errors.
+    Candidates are SEARCH_SHAPES at six thetas in [-0.75, 0.75], in order
+    until the budget is spent.  Each runs on the same seed (common random
+    numbers), must end at vertices (90% of paths absorbed or within 1e-2
+    of one; infeasible members are excluded but reported), and is
+    compared to the baseline at 3 combined standard errors.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     policy = policy or StepPolicy()
@@ -341,7 +328,7 @@ def perturbation_search(d: int, x0, budget: int = 18, *, n_paths: int = 2000,
         ens = simulate_simplex_wf(d, x0, eps=eps, n_paths=n_paths, seed=seed,
                                   policy=policy, cov_fn=cov_fn)
         done = ~np.isnan(ens.absorption_time)
-        near_vertex = _is_vertex(ens.states[:, -1, :], vertex_tol)
+        near_vertex = _is_vertex(ens.states[:, -1, :], 1e-2)
         vfrac = float((done | near_vertex).mean())
         est = md_reciprocal_entropy(ens, cov_fn=cov_fn)
         return est, vfrac
@@ -353,9 +340,9 @@ def perturbation_search(d: int, x0, budget: int = 18, *, n_paths: int = 2000,
                           best=None, improves_significantly=False,
                           n_paths=n_paths, seed=int(seed))
 
-    thetas = [th for th in np.linspace(-theta_bound, theta_bound, 7) if th != 0.0]
+    thetas = [th for th in np.linspace(-0.75, 0.75, 7) if th != 0.0]
     evals = 0
-    for name, g in shapes:
+    for name, g in SEARCH_SHAPES:
         for theta in thetas:
             if evals >= budget:
                 break
@@ -363,7 +350,7 @@ def perturbation_search(d: int, x0, budget: int = 18, *, n_paths: int = 2000,
             est, vfrac = evaluate(perturbed_covariance(float(theta), g))
             cand = SearchCandidate(name, float(theta), est.value,
                                    est.std_error,
-                                   feasible=vfrac >= min_vertex_fraction,
+                                   feasible=vfrac >= 0.9,
                                    vertex_fraction=vfrac)
             report.candidates.append(cand)
             if not cand.feasible:

@@ -242,7 +242,7 @@ class PathEnsemble:
 
     def __init__(self, times, n_paths, master_seed, scheme, x0, t0, eps,
                  states=None, step_variance=None, absorption_time=None,
-                 recipe=None, bounded=True):
+                 recipe=None):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("times must be a 1-d grid with at least 2 nodes")
@@ -256,7 +256,6 @@ class PathEnsemble:
         self.x0 = x0
         self.t0 = float(t0)
         self.eps = float(eps)
-        self.bounded = bool(bounded)
         self._states = None if states is None else np.asarray(states, dtype=float)
         self._step_variance = (None if step_variance is None
                                else np.asarray(step_variance, dtype=float))
@@ -401,7 +400,7 @@ class PathEnsemble:
     @classmethod
     def from_arrays(cls, times, states, step_variance, absorption_time=None,
                     master_seed=0, scheme="synthetic", x0=None, t0=None,
-                    eps=0.0, bounded=True):
+                    eps=0.0):
         times = np.asarray(times, dtype=float)
         states = np.atleast_2d(np.asarray(states, dtype=float))
         step_variance = np.atleast_2d(np.asarray(step_variance, dtype=float))
@@ -411,7 +410,7 @@ class PathEnsemble:
             t0 = float(times[0])
         return cls(times, states.shape[0], master_seed, scheme, x0, t0, eps,
                    states=states, step_variance=step_variance,
-                   absorption_time=absorption_time, bounded=bounded)
+                   absorption_time=absorption_time)
 
     # -- serialization ----------------------------------------------------
 

@@ -36,28 +36,16 @@ import numpy as np
 from .closed_form import GridFunction, value_function
 
 
-@dataclass(frozen=True)
-class StationarySolveSpec:
-    """Grid size for the stationary solve; boundary values are 0."""
-
-    n_x: int = 1000
-
-    def __post_init__(self):
-        if self.n_x < 8:
-            raise ValueError("n_x must be at least 8")
-
-
-def solve_stationary(spec: StationarySolveSpec | int) -> GridFunction:
+def solve_stationary(n: int) -> GridFunction:
     """Second-difference solve of w'' = -log(x(1-x)) - 1 with zero ends.
 
-    The right-hand side is evaluated at interior nodes only; the log
-    singularity at the endpoints is integrable and covered by the
-    Dirichlet data.
+    The grid has n >= 8 intervals.  The right-hand side is evaluated at
+    interior nodes only; the log singularity at the endpoints is
+    integrable and covered by the Dirichlet data.
     """
+    if n < 8:
+        raise ValueError("n_x must be at least 8")
     from scipy.linalg import solve_banded   # imported here: `import winentropy` loads no scipy
-    if isinstance(spec, int):
-        spec = StationarySolveSpec(spec)
-    n = spec.n_x
     x = np.linspace(0.0, 1.0, n + 1)
     h2 = (x[1] - x[0]) ** 2
     xi = x[1:-1]
@@ -114,19 +102,16 @@ class DpSpec:
 
     @classmethod
     def balanced(cls, n_x: int = 200, eps: float = 1e-2, t0: float = 0.0,
-                 penalty_K: Optional[float] = None,
-                 sigma_cap: Optional[float] = None) -> "DpSpec":
+                 penalty_K: Optional[float] = None) -> "DpSpec":
         """Pick n_t so the CFL cap covers the optimal control everywhere.
 
         The optimal squared volatility is at most 0.25/eps on the
-        domain; sigma_cap defaults to 0.3/eps for headroom.
+        domain; the cap is 0.3/eps for headroom.
         """
         if not 0.0 < eps < 0.5:
             raise ValueError("eps must lie in (0, 0.5)")
-        if sigma_cap is None:
-            sigma_cap = 0.3 / eps
         dx2 = (1.0 / n_x) ** 2
-        n_t = int(math.ceil((1.0 - eps - t0) * sigma_cap / dx2))
+        n_t = int(math.ceil((1.0 - eps - t0) * (0.3 / eps) / dx2))
         return cls(n_x=n_x, n_t=n_t, eps=eps, penalty_K=penalty_K, t0=t0)
 
 
@@ -195,17 +180,17 @@ def dp_step(v_next: np.ndarray, dx: float, dt: float, sigma_max: float, *,
     return v, sig
 
 
-def solve_dp(spec: DpSpec, n_policy_rows: int = 65) -> DpSolution:
+def solve_dp(spec: DpSpec) -> DpSolution:
     """Backward induction from V(1-eps, x) = penalty_K * x(1-x).
 
-    The policy surface is recorded on at most n_policy_rows evenly
-    spaced time rows (the full surface would be n_t rows).
+    The policy surface is recorded on at most 65 evenly spaced time
+    rows (the full surface would be n_t rows).
     """
     x = np.linspace(0.0, 1.0, spec.n_x + 1)
     dx, dt, sigma_max = spec.dx, spec.dt, spec.sigma_max
     V = spec.resolved_penalty * x * (1.0 - x)
 
-    n_rows = min(n_policy_rows, spec.n_t)
+    n_rows = min(65, spec.n_t)
     # time indices (in backward step count) at which to keep the policy
     snap_steps = sorted(set(np.linspace(1, spec.n_t, n_rows, dtype=int)))
     snap_at = {s: i for i, s in enumerate(snap_steps)}
@@ -267,7 +252,7 @@ def dp_refinement_study(specs: Sequence[DpSpec]) -> list[RefinementRow]:
 
 
 def default_refinement_specs(n_levels: int = 3, n_x0: int = 25,
-                             eps: float = 1e-2, t0: float = 0.0) -> list[DpSpec]:
+                             eps: float = 1e-2) -> list[DpSpec]:
     """Doubling n_x per level; n_t scales 4x so the CFL cap stays fixed.
 
     Scaling n_t by 2 only would halve the control cap each level and
@@ -275,5 +260,5 @@ def default_refinement_specs(n_levels: int = 3, n_x0: int = 25,
     """
     out = []
     for lev in range(n_levels):
-        out.append(DpSpec.balanced(n_x=n_x0 * 2**lev, eps=eps, t0=t0))
+        out.append(DpSpec.balanced(n_x=n_x0 * 2**lev, eps=eps))
     return out

@@ -9,7 +9,7 @@ is its image under the clock change s(t) = 1 - exp(-t).
 
 Scheme: Euler-Maruyama with states clamped to [0,1] after each step (so
 the diffusion coefficient x(1-x) never turns negative), and states
-within absorb_tol of a boundary snapped there and frozen.  The
+within DEFAULT_ABSORB_TOL of a boundary snapped there and frozen.  The
 weak bias is O(dt) and is absorbed into the acceptance tolerances.
 """
 
@@ -119,11 +119,11 @@ class _EulerRecipe:
         return abst
 
 
-def _wf_step(times, absorb_tol, scaled):
+def _wf_step(times, scaled):
     """new_step of the scaled (S = X(1-X)/(1-t)) or standard (S = X(1-X)) diffusion."""
     dts = np.diff(times)
     denom = 1.0 - times[:-1] if scaled else None
-    lo_edge, hi_edge = absorb_tol, 1.0 - absorb_tol
+    lo_edge, hi_edge = DEFAULT_ABSORB_TOL, 1.0 - DEFAULT_ABSORB_TOL
 
     def new_step(x, abst):
         alive = (x > lo_edge) & (x < hi_edge)
@@ -180,8 +180,7 @@ def _sde_step(times, sigma):
 
 def simulate_scaled_wf(x0: float, t0: float = 0.0, *, eps: float = 1e-3,
                        n_paths: int = 1000, seed: int = 0,
-                       policy: Optional[StepPolicy] = None,
-                       absorb_tol: float = DEFAULT_ABSORB_TOL) -> PathEnsemble:
+                       policy: Optional[StepPolicy] = None) -> PathEnsemble:
     """Paths of dX = sqrt(X(1-X)/(1-t)) dB from (t0, x0) up to 1-eps."""
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 must lie in [0, 1]")
@@ -193,15 +192,13 @@ def simulate_scaled_wf(x0: float, t0: float = 0.0, *, eps: float = 1e-3,
     policy = policy or StepPolicy()
     times = policy.time_grid(t0, 1.0 - eps)
     scheme = (f"scaled_wf|base_dt={policy.base_dt}|adaptive={policy.adaptive}"
-              f"|shrink={policy.shrink}|absorb_tol={absorb_tol}")
+              f"|shrink={policy.shrink}|absorb_tol={DEFAULT_ABSORB_TOL}")
     return PathEnsemble(times, n_paths, seed, scheme, x0, t0, eps,
-                        recipe=_EulerRecipe(times, x0, seed,
-                                            _wf_step(times, absorb_tol, True)))
+                        recipe=_EulerRecipe(times, x0, seed, _wf_step(times, True)))
 
 
 def simulate_standard_wf(x0: float, horizon: float, dt: float, *,
-                         n_paths: int = 1000, seed: int = 0,
-                         absorb_tol: float = DEFAULT_ABSORB_TOL) -> PathEnsemble:
+                         n_paths: int = 1000, seed: int = 0) -> PathEnsemble:
     """Paths of dX = sqrt(X(1-X)) dB on [0, horizon] with a fixed step."""
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 must lie in [0, 1]")
@@ -220,10 +217,9 @@ def simulate_standard_wf(x0: float, horizon: float, dt: float, *,
         raise ValueError("need 0 < dt <= horizon")
     n_steps = max(1, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n_steps + 1)
-    scheme = f"standard_wf|dt={dt}|absorb_tol={absorb_tol}"
+    scheme = f"standard_wf|dt={dt}|absorb_tol={DEFAULT_ABSORB_TOL}"
     return PathEnsemble(times, n_paths, seed, scheme, x0, 0.0, 0.0,
-                        recipe=_EulerRecipe(times, x0, seed,
-                                            _wf_step(times, absorb_tol, False)))
+                        recipe=_EulerRecipe(times, x0, seed, _wf_step(times, False)))
 
 
 def simulate_generic_sde(sigma: Callable[[np.ndarray], np.ndarray], x0: float,
@@ -248,8 +244,7 @@ def simulate_generic_sde(sigma: Callable[[np.ndarray], np.ndarray], x0: float,
     n_steps = max(1, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n_steps + 1)
     return PathEnsemble(times, n_paths, seed, "generic_sde", x0, 0.0, 0.0,
-                        recipe=_EulerRecipe(times, x0, seed, _sde_step(times, sigma)),
-                        bounded=False)
+                        recipe=_EulerRecipe(times, x0, seed, _sde_step(times, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +336,8 @@ def _eigenmode(k: int, x):
     return xx * (1.0 - xx) * jacobi_p11(k - 1, 1.0 - 2.0 * xx)
 
 
-def density_truncation_terms(t: float, tol: float = 1e-10, max_terms: int = 200) -> int:
-    """Smallest n so the first omitted term bound drops below tol.
+def density_truncation_terms(t: float, tol: float = 1e-10) -> int:
+    """Smallest n so the first omitted term bound drops below tol, at most 200.
 
     Term k of the density series is bounded in magnitude by
     exp(-k(k+1)t/2) k(k+1)(2k+1) / 4 for x, y in [0,1]; the cruder bound
@@ -350,11 +345,11 @@ def density_truncation_terms(t: float, tol: float = 1e-10, max_terms: int = 200)
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    for n in range(1, max_terms + 1):
+    for n in range(1, 201):
         k = n + 1
         if math.exp(-k * (k + 1) * t / 2.0) * k * (k + 1) * (2 * k + 1) < tol:
             return n
-    return max_terms
+    return 200
 
 
 def transition_density(t: float, x: float, y, n_terms: Optional[int] = None):

@@ -11,7 +11,7 @@ from winentropy.multidim import (matrix_log, md_reciprocal_entropy,
                                  perturbation_search, perturbed_covariance,
                                  quantum_entropy_rate, scalar_view,
                                  simulate_simplex_wf, wf_covariance)
-from winentropy.paths import StepPolicy
+from winentropy.paths import NumericalError, StepPolicy
 
 
 def random_spd(rng, d, scale=1.0):
@@ -136,6 +136,18 @@ def test_simplex_validation():
         simulate_simplex_wf(2, [0.6, 0.6], eps=1e-2, n_paths=2, seed=0)
     with pytest.raises(ValueError):
         simulate_simplex_wf(2, [0.3], eps=1e-2, n_paths=2, seed=0)
+
+
+def test_simplex_nonfinite_covariance_raises():
+    # eigh returns NaN for a NaN matrix instead of raising, so without a
+    # check the NaN states would come back silently
+    def cov(x, t):
+        c = wf_covariance(x, t)
+        return c * np.nan if t >= 0.5 else c
+
+    with pytest.raises(NumericalError, match="not finite"):
+        simulate_simplex_wf(2, [0.3, 0.3], eps=0.1, n_paths=5, seed=0,
+                            policy=StepPolicy(base_dt=0.05), cov_fn=cov)
 
 
 def test_md_entropy_identity_covariance_is_zero():

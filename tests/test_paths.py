@@ -489,6 +489,17 @@ GOLDEN_EXPORTS = {
 }
 
 
+def test_scheme_strings_are_pinned():
+    # the scheme string is written into every binary header
+    pol = StepPolicy(base_dt=0.05)
+    assert simulate_scaled_wf(0.5, eps=0.1, n_paths=1, policy=pol).scheme == \
+        "scaled_wf|base_dt=0.05|adaptive=True|shrink=0.1|absorb_tol=1e-06"
+    assert simulate_standard_wf(0.2, 1.0, 0.01, n_paths=1).scheme == \
+        "standard_wf|dt=0.01|absorb_tol=1e-06"
+    assert simulate_simplex_wf(2, [0.3, 0.3], eps=0.1, n_paths=1, policy=pol).scheme == \
+        "simplex_wf|d=2|base_dt=0.05|shrink=0.1|absorb_tol=1e-06"
+
+
 def _golden_ensemble(name):
     if name == "scaled_adaptive":
         # 490 steps, 39 of 40 paths absorbed

@@ -8,7 +8,7 @@ import pytest
 from winentropy import pde
 from winentropy.closed_form import stationary_profile, value_function
 from winentropy.entropy import xlogx
-from winentropy.pde import (ControlPolicy, DpSpec, StationarySolveSpec,
+from winentropy.pde import (ControlPolicy, DpSpec,
                             default_refinement_specs, dp_refinement_study,
                             dp_step, dp_workspace, solve_dp, solve_stationary)
 
@@ -18,7 +18,7 @@ from winentropy.pde import (ControlPolicy, DpSpec, StationarySolveSpec,
 # ---------------------------------------------------------------------------
 
 def test_stationary_matches_profile():
-    g = solve_stationary(StationarySolveSpec(n_x=500))
+    g = solve_stationary(500)
     exact = stationary_profile(g.x_grid)
     assert np.abs(g.values - exact).max() <= 5e-3
     assert g.values[0] == 0.0 and g.values[-1] == 0.0
@@ -38,7 +38,7 @@ def test_stationary_symmetry_exact():
 
 def test_stationary_spec_validation():
     with pytest.raises(ValueError):
-        StationarySolveSpec(n_x=4)
+        solve_stationary(4)
 
 
 # ---------------------------------------------------------------------------
