@@ -63,12 +63,6 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _estimate_dict(est) -> dict:
-    return {"value": est.value, "std_error": est.std_error,
-            "n_paths": est.n_paths, "time_cutoff_eps": est.time_cutoff_eps,
-            "flavor": est.flavor}
-
-
 # the command table: each flag is (name, type or choices, default)
 REQUIRED = object()   # a flag default: the flag must be given on the command line
 
@@ -203,7 +197,7 @@ def _cmd_entropy(args):
           "log-moment": entropy.entropy_log_moment_estimate}[args.flavor]
     est = fn(ens, args.eps)
     print(f"{est.value:.6g} +- {est.std_error:.3g}")
-    return _estimate_dict(est), {}
+    return dataclasses.asdict(est), {}
 
 
 @_command("p-divergence", "Monte Carlo E[int S^{p/2} dt]", _OBJECT_KINDS,
@@ -212,7 +206,7 @@ def _cmd_p_divergence(args):
     ens = _build_scaled(args)
     est = entropy.p_divergence_estimate(ens, args.p, args.eps)
     print(f"{est.value:.6g} +- {est.std_error:.3g}")
-    return _estimate_dict(est), {}
+    return dataclasses.asdict(est), {}
 
 
 @_command("p-derivative", "difference quotients toward the p=2 entropy", _ROW_KINDS,
@@ -247,7 +241,7 @@ def _cmd_moment(args):
     ens = _build_scaled(args)
     est = wright_fisher.p_moment_estimate(ens, args.q, args.eps)
     print(f"{est.value:.6g} +- {est.std_error:.3g}")
-    return _estimate_dict(est), {}
+    return dataclasses.asdict(est), {}
 
 
 @_command("density", "Jacobi-series transition density profile", _ROW_KINDS,
@@ -356,7 +350,7 @@ def _cmd_reciprocity(args):
     print(f"lhs {lhs.value:.6f} +- {lhs.std_error:.2g}   "
           f"rhs {rhs.value:.6f} +- {rhs.std_error:.2g}   "
           f"|gap| = {gap:.2g} ({0 if comb == 0 else gap / comb:.2f} combined se)")
-    return {"lhs": _estimate_dict(lhs), "rhs": _estimate_dict(rhs)}, {}
+    return {"lhs": dataclasses.asdict(lhs), "rhs": dataclasses.asdict(rhs)}, {}
 
 
 def _parse_x0_list(s, d):
@@ -376,7 +370,7 @@ def _cmd_md_entropy(args):
                                        policy=StepPolicy(base_dt=args.base_dt))
     est = multidim.md_reciprocal_entropy(ens)
     print(f"{est.value:.6g} +- {est.std_error:.3g}")
-    return _estimate_dict(est), {}
+    return dataclasses.asdict(est), {}
 
 
 @_command("md-search", "perturbation search against the WF baseline", _OBJECT_KINDS,

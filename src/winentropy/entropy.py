@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -120,7 +120,8 @@ class _StepSums:
         self.w = w
         self.n_used = int(np.count_nonzero(w > 0))
         self.acc = np.zeros((len(fs), bs))
-        self.skip_zeros = not any(np.any(f(np.array([0.0, -0.0]))) for f in fs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.skip_zeros = not any(np.any(f(np.array([0.0, -0.0]))) for f in fs)
 
     def chunk(self, k0, states, step_variance):
         k1 = min(k0 + len(step_variance), self.n_used)
@@ -182,7 +183,8 @@ def entropy_log_moment_estimate(ens: PathEnsemble, eps: float | None = None) -> 
     return _mc_estimate(vals, 0.5, eps, LOG_MOMENT)
 
 
-def p_divergence_estimate(ens: PathEnsemble, p: float, eps: float | None = None) -> DivergenceEstimate:
+def p_divergence_estimate(ens: PathEnsemble, p: float,
+                          eps: float | None = None) -> DivergenceEstimate:
     """E[int S^{p/2} dt] for p > 0 (no 1/2 factor)."""
     if not p > 0:
         raise ValueError("p must be positive")

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .entropy import DivergenceEstimate, _mc_estimate, _step_weights, integrand_reciprocal
+from .entropy import DivergenceEstimate, _mc_estimate, _step_weights, integrand_reciprocal, xlogx
 from .paths import (NumericalError, PathEnsemble, StepPolicy, _one_shot_streams,
                     draw_block_normals)
 from .wright_fisher import DEFAULT_ABSORB_TOL
@@ -42,14 +42,14 @@ def _check_symmetric(m, name="matrix"):
 
 
 def _psd_eigh(m, name="matrix"):
-    """Eigendecomposition with small negative eigenvalues clamped to 0."""
+    """The symmetrized matrix and its eigenvalues, small negative ones clamped to 0."""
     a = _check_symmetric(m, name)
-    w, v = np.linalg.eigh(a)
+    w = np.linalg.eigh(a)[0]     # not eigvalsh, which rounds differently
     scale = max(1.0, float(np.abs(w).max()))
     if w.min() < -EIG_NEG_TOL * scale:
         raise ValueError(f"{name} is not positive semidefinite "
                          f"(min eigenvalue {w.min():.3e})")
-    return np.maximum(w, 0.0), v
+    return a, np.maximum(w, 0.0)
 
 
 def matrix_log(m):
@@ -69,10 +69,9 @@ def quantum_entropy_rate(m, n) -> float:
     nothing to tr(M log M) by the spectral 0*log(0) = 0 convention.  N
     must be strictly positive definite.
     """
-    wm, vm = _psd_eigh(m, "M")
+    a, wm = _psd_eigh(m, "M")
     log_n = matrix_log(n)
-    a = _check_symmetric(m, "M")
-    tr_mlogm = float(np.sum(np.where(wm > 0, wm * np.log(np.where(wm > 0, wm, 1.0)), 0.0)))
+    tr_mlogm = float(xlogx(wm).sum())
     tr_mlogn = float(np.trace(a @ log_n))
     tr_n = float(np.trace(np.asarray(n, dtype=float)))
     tr_m = float(np.trace(a))

@@ -173,8 +173,10 @@ class _Block:
 # Observers.  A block of paths reaches an observer as consecutive chunks
 # in time order: chunk(k0, states, step_variance) gets the states at grid
 # nodes k0..k0+T as a (T+1, bs) array and the variances of steps
-# k0..k0+T-1 as a (T, bs) array, both buffers the caller reuses.  Then
-# result(absorption_time) returns the block's rows, one per path.
+# k0..k0+T-1 as a (T, bs) array, both buffers the caller reuses.  chunk
+# may return True once it needs no later chunk: a recipe stops after the
+# chunk for which every observer did, and each sees every chunk up to it.
+# Then result(absorption_time) returns the block's rows, one per path.
 
 class Snapshots:
     """States at chosen grid nodes, then the absorption time: (bs, len(nodes)+1)."""

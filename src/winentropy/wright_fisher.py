@@ -22,7 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropy import DivergenceEstimate, _mc_estimate, _per_path_integrals, xlogx
+from .entropy import (DivergenceEstimate, _mc_estimate, _per_path_integrals,
+                      _StepSums, xlogx)
 from .paths import (NumericalError, PathEnsemble, Snapshots, StepPolicy,
                     _one_shot_streams, chunk_steps, draw_block_normals,
                     panel_steps, path_rng)
@@ -83,7 +84,8 @@ class _EulerRecipe:
     normals (_normal_panels), a whole number of chunks wide, and draws
     the next panel when the stepping reaches its end, only for the paths
     abst still marks live; absorbed paths step with normals of 0, which
-    leave their states and zero variances exactly as they are.
+    leave their states and zero variances exactly as they are.  It stops
+    after a chunk for which every observer returned True.
 
     new_step(x, abst) sets up one block, given its first state x and its
     absorption times abst (all NaN), both of which it may edit.  It
@@ -113,8 +115,9 @@ class _EulerRecipe:
                 zt[:m, live] = z[:, c0:c0 + m].T
                 for j in range(m):
                     step(k0 + j, states[j], states[j + 1], stepvar[j], zt[j])
-                for obs in observers:
-                    obs.chunk(k0, states[:m + 1], stepvar[:m])
+                # a list, so that every observer sees the chunk
+                if all([obs.chunk(k0, states[:m + 1], stepvar[:m]) for obs in observers]):
+                    return abst
                 states[0] = states[m]
         return abst
 
@@ -159,19 +162,13 @@ def _wf_step(times, scaled):
     return new_step
 
 
-def _sde_step(times, sigma):
-    """new_step of dX = sigma(X) dB on the real line, never absorbed."""
-    sqrt_dts = np.sqrt(np.diff(times))
-
+def _sde_step(sigma, scale):
+    """new_step of dX = sigma(X) dB, never absorbed: S = s*s, x moves by scale(k, s, S) * z."""
     def new_step(x, abst):
-        tmp = np.empty(len(x))
-
         def step(k, x, xn, var, zk):
             s = np.asarray(sigma(x), dtype=float)
             np.multiply(s, s, out=var)
-            np.multiply(s, sqrt_dts[k], out=tmp)
-            np.multiply(tmp, zk, out=tmp)
-            np.add(x, tmp, out=xn)
+            np.add(x, scale(k, s, var) * zk, out=xn)
 
         return step
 
@@ -209,10 +206,9 @@ def simulate_standard_wf(x0: float, horizon: float, dt: float, *,
         # no time to evolve: every path is the constant x0, stepped once
         # with zero volatility
         times = np.array([0.0, 1e-12])
-        return PathEnsemble(times, n_paths, seed, "standard_wf|degenerate",
-                            float(x0), 0.0, 0.0,
-                            recipe=_EulerRecipe(times, x0, seed,
-                                                _sde_step(times, np.zeros_like)))
+        step = _sde_step(np.zeros_like, lambda k, s, var: s)
+        return PathEnsemble(times, n_paths, seed, "standard_wf|degenerate", float(x0), 0.0,
+                            0.0, recipe=_EulerRecipe(times, x0, seed, step))
     if not (0 < dt <= horizon):
         raise ValueError("need 0 < dt <= horizon")
     n_steps = max(1, int(round(horizon / dt)))
@@ -243,8 +239,9 @@ def simulate_generic_sde(sigma: Callable[[np.ndarray], np.ndarray], x0: float,
     seed = _check_seed(seed)
     n_steps = max(1, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n_steps + 1)
-    return PathEnsemble(times, n_paths, seed, "generic_sde", x0, 0.0, 0.0,
-                        recipe=_EulerRecipe(times, x0, seed, _sde_step(times, sigma)))
+    sqrt_dts = np.sqrt(np.diff(times))
+    return PathEnsemble(times, n_paths, seed, "generic_sde", x0, 0.0, 0.0, recipe=_EulerRecipe(
+        times, x0, seed, _sde_step(sigma, lambda k, s, var: s * sqrt_dts[k])))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +413,36 @@ def moment_series_bound(t: float, n_terms: int = 30) -> float:
 # reciprocity between the specific and reciprocal entropies
 # ---------------------------------------------------------------------------
 
+class _CostToUnitQv:
+    """Observer: per-path int (1 + S log S - S) ds up to <X> = 1; done once all are."""
+
+    def __init__(self, dt, bs):
+        self.dt, self.acc = dt, np.zeros(bs)
+        self.q = np.zeros(bs)           # running quadratic variation
+        self.running = np.ones(bs, dtype=bool)
+
+    def chunk(self, k0, states, step_variance):
+        dt, acc, running = self.dt, self.acc, self.running
+        for s2 in step_variance:
+            cost = 1.0 + xlogx(s2) - s2
+            q_next = self.q + s2 * dt
+            crossing = running & (q_next >= 1.0)
+            cont = running & ~crossing
+            acc[cont] += cost[cont] * dt
+            if crossing.any():
+                # partial step: only the time needed to bring <X> to 1
+                acc[crossing] += cost[crossing] * ((1.0 - self.q[crossing]) / s2[crossing])
+                running[crossing] = False
+            self.q = q_next
+        return not running.any()
+
+    def result(self, absorption_time):
+        if self.running.any():
+            raise NumericalError("some paths never exhausted quadratic "
+                                 "variation 1; enlarge the horizon")
+        return self.acc
+
+
 def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
                       sigma_min: float, sigma_max: float, dt: float = 1e-3,
                       horizon: Optional[float] = None,
@@ -431,8 +458,9 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
 
     Returns (lhs, rhs) as DivergenceEstimate values; they must agree
     within combined Monte Carlo error.  dt must divide [0, 1] into a
-    whole number of steps.  The SDE side stops drawing normals after the
-    panel in which its last path exhausts quadratic variation 1.
+    whole number of steps.  The SDE side stops stepping at the end of the
+    chunk in which its last path exhausts quadratic variation 1, so it
+    draws no normals after that chunk's panel.
     """
     if not sigma_min > 0:
         raise ValueError("sigma_min must be positive")
@@ -448,52 +476,17 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
     if horizon * sigma_min**2 < 1.0 - 1e-12:
         raise ValueError("horizon too short to exhaust quadratic variation 1")
 
-    n_steps_r = int(math.ceil(horizon / dt))
-    rhs_vals = np.empty(n_paths)
-    for lo in range(0, n_paths, block_size):
-        hi = min(lo + block_size, n_paths)
-        bs = hi - lo
-        x = np.full(bs, float(x0))
-        q = np.zeros(bs)           # running quadratic variation
-        acc = np.zeros(bs)
-        running = np.ones(bs, dtype=bool)
-        for _, z, _ in _normal_panels(seed, lo, hi, n_steps_r):
-            for zk in z.T:
-                s2 = np.asarray(sigma(x), dtype=float) ** 2
-                cost = 1.0 + xlogx(s2) - s2
-                q_next = q + s2 * dt
-                crossing = running & (q_next >= 1.0)
-                cont = running & ~crossing
-                acc[cont] += cost[cont] * dt
-                if np.any(crossing):
-                    # partial step: only the time needed to bring <X> to 1
-                    frac_dt = (1.0 - q[crossing]) / s2[crossing]
-                    acc[crossing] += cost[crossing] * frac_dt
-                    running[crossing] = False
-                x = x + np.sqrt(s2 * dt) * zk
-                q = q_next
-                if not running.any():
-                    break
-            if not running.any():
-                break
-        if running.any():
-            raise NumericalError("some paths never exhausted quadratic "
-                                 "variation 1; enlarge the horizon")
-        rhs_vals[lo:hi] = acc
+    def observe(n_steps, seed, scale, make_observer):
+        times = dt * np.arange(n_steps + 1)
+        recipe = _EulerRecipe(times, x0, seed, _sde_step(sigma, scale))
+        return PathEnsemble(times, n_paths, seed, "reciprocity", x0, 0.0, 0.0,
+                            recipe=recipe).observe(make_observer, block_size)
 
-    lhs_vals = np.empty(n_paths)
-    lhs_seed = (seed + 1) % (1 << 64)
-    sq_dt = math.sqrt(dt)
-    for lo in range(0, n_paths, block_size):
-        hi = min(lo + block_size, n_paths)
-        y = np.full(hi - lo, float(x0))   # Brownian under the reference measure
-        acc = np.zeros(hi - lo)
-        for _, z, _ in _normal_panels(lhs_seed, lo, hi, n_steps_l):
-            for zk in z.T:
-                s2 = np.asarray(sigma(y), dtype=float) ** 2
-                acc += (1.0 / s2 + np.log(s2) - 1.0) * dt
-                y = y + sq_dt * zk
-        lhs_vals[lo:hi] = acc
-
-    return (_mc_estimate(lhs_vals, 0.5, 0.0, "reciprocity_lhs"),
+    rhs_vals = observe(math.ceil(horizon / dt), seed, lambda k, s, var: np.sqrt(var * dt),
+                       lambda bs: _CostToUnitQv(dt, bs))
+    # lhs: Brownian paths, under the reference measure
+    w = np.full(n_steps_l, dt)
+    lhs_vals = observe(n_steps_l, (seed + 1) % (1 << 64), lambda k, s, var: math.sqrt(dt),
+                       lambda bs: _StepSums([lambda s2: 1.0 / s2 + np.log(s2) - 1.0], w, bs))
+    return (_mc_estimate(lhs_vals[:, 0], 0.5, 0.0, "reciprocity_lhs"),
             _mc_estimate(rhs_vals, 0.5, 0.0, "reciprocity_rhs"))

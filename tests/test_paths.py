@@ -761,6 +761,37 @@ def test_live_only_draws_change_no_result(tmp_path, monkeypatch, split):
         assert drew_fewer_than_every_path()
 
 
+
+class _ChunkStarts:
+    """Observer: records each chunk's first step; done from chunk `done_after` on."""
+
+    def __init__(self, done_after=None):
+        self.k0s, self.done_after = [], done_after
+
+    def chunk(self, k0, states, step_variance):
+        self.k0s.append(k0)
+        if self.done_after is not None:
+            return len(self.k0s) >= self.done_after
+
+
+def test_stream_stops_once_every_observer_is_done(monkeypatch):
+    # ten chunks of 40 steps, one chunk per panel
+    monkeypatch.setattr(paths, "CHUNK_STEPS", 40)
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", 1)
+    ens = simulate_generic_sde(lambda x: 1.0 + 0.5 * np.sin(x), 0.0, 4.0, 1e-2,
+                               n_paths=8, seed=3, sigma_min=0.5, sigma_max=1.5)
+    recipe, shapes = ens._recipe, _count_draws(monkeypatch)
+    done = _ChunkStarts(done_after=1)
+    recipe.stream(0, 8, [done])
+    assert done.k0s == [0] and shapes == [(8, 40)]
+    # an observer that never finishes keeps the block going, and one that
+    # has finished still sees every chunk
+    shapes.clear()
+    rest, done = _ChunkStarts(), _ChunkStarts(done_after=1)
+    recipe.stream(0, 8, [rest, done])
+    assert rest.k0s == done.k0s == list(range(0, 400, 40))
+    assert shapes == [(8, 40)] * 10
+
 def test_step_sums_skip_only_paths_with_a_zero_chunk():
     # 3 chunks and a part; each path's variances are 0 over some stretch
     n = 3 * CHUNK_STEPS + 17

@@ -328,6 +328,15 @@ def test_reciprocity_in_many_panels_matches_pinned_values(monkeypatch, key):
     assert _pinned_reciprocity(key) == RECIPROCITY_PINS[key]
 
 
+
+def test_reciprocity_blocks_on_two_workers_match_pinned_values():
+    key = (0.25, 50, 3, 2e-3, 16)       # four blocks
+    paths.set_max_workers(2)
+    try:
+        assert _pinned_reciprocity(key) == RECIPROCITY_PINS[key]
+    finally:
+        paths.set_max_workers(None)
+
 def test_reciprocity_stops_drawing_after_the_last_crossing(monkeypatch):
     # one chunk of 256 steps per panel; 4,200 SDE steps, then 1,000 Brownian
     monkeypatch.setattr(paths, "PANEL_ELEMENTS", 1)
