@@ -10,7 +10,8 @@ vertices; the candidate optimizer simulated here is the multi-allele
 neutral Wright-Fisher diffusion with covariance
     (diag(x) - x x^T) / (1 - t),
 and a local perturbation search probes whether nearby feasible
-volatility surfaces beat it.
+volatility surfaces beat it.  The Euler kernel of wright_fisher steps
+the paths, and the matrix entropy observes them.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .entropy import DivergenceEstimate, _mc_estimate, _step_weights, integrand_reciprocal, xlogx
-from .paths import (NumericalError, PathEnsemble, StepPolicy, _one_shot_streams,
-                    draw_block_normals)
-from .wright_fisher import DEFAULT_ABSORB_TOL
+# draw_block_normals draws nothing here; benchmarks/tracing.py wraps this name
+from .paths import NumericalError, PathEnsemble, StepPolicy, draw_block_normals  # noqa: F401
+from .wright_fisher import DEFAULT_ABSORB_TOL, _check_seed, _EulerRecipe
 
 SYMMETRY_TOL = 1e-12
 EIG_NEG_TOL = 1e-10
@@ -92,32 +93,6 @@ def wf_covariance(x: np.ndarray, t: float) -> np.ndarray:
     return (diag - outer) / (1.0 - t)
 
 
-@dataclass
-class MdEnsemble:
-    """Simplex-valued paths on a shared grid; states shape (n, T, d)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    absorption_time: np.ndarray
-    master_seed: int
-    scheme: str
-    x0: np.ndarray
-    t0: float
-    eps: float
-
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.states.shape[2]
-
-    @property
-    def dts(self) -> np.ndarray:
-        return np.diff(self.times)
-
-
 def _is_vertex(x, tol):
     # a vertex of the sub-simplex: every coordinate 0 or a single 1
     near_int = np.all((x <= tol) | (x >= 1.0 - tol), axis=-1)
@@ -139,17 +114,51 @@ def _batched_psd_sqrt(C):
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
+def _simplex_step(times, cov):
+    """new_step of the simplex diffusion with covariance cov(x, t); var holds tr C(x, t)."""
+    dts = np.diff(times)
+
+    def new_step(x, abst):
+        alive = np.ones(len(x), dtype=bool)
+
+        def step(k, x, xn, var, zk):
+            xn[:] = x
+            var.fill(0.0)   # stays 0 for a path at a vertex, which moves no more
+            if alive.any():
+                xa = x[alive]
+                c = cov(xa, times[k])
+                var[alive] = np.einsum("bii->b", c)
+                root = _batched_psd_sqrt(c * dts[k])
+                xa = xa + np.einsum("bij,bj->bi", root, zk[alive])
+                _project_simplex(xa)
+                # faces are absorbing: snap coordinates within tolerance;
+                # a coordinate snapped to 1 forces its siblings to 0
+                xa[xa <= DEFAULT_ABSORB_TOL] = 0.0
+                big = xa >= 1.0 - DEFAULT_ABSORB_TOL
+                has_big = big.any(axis=-1)
+                if has_big.any():
+                    xa[has_big] = np.where(big[has_big], 1.0, 0.0)
+                xn[alive] = xa
+                newly = alive & _is_vertex(xn, DEFAULT_ABSORB_TOL)
+                abst[newly] = times[k + 1]
+                alive[newly] = False
+
+        return step
+
+    return new_step
+
+
 def simulate_simplex_wf(d: int, x0, *, eps: float = 1e-2, n_paths: int = 1000,
                         seed: int = 0, policy: Optional[StepPolicy] = None,
-                        cov_fn: Optional[Callable] = None) -> MdEnsemble:
-    """Euler-Maruyama on the sub-probability simplex up to 1-eps.
+                        cov_fn: Optional[Callable] = None) -> PathEnsemble:
+    """Euler-Maruyama on the sub-probability simplex up to 1-eps, materialized.
 
     Per step the covariance (cov_fn(x, t), default the Wright-Fisher
     covariance) is square-rooted by eigendecomposition; proposals are
     projected back onto the simplex, coordinates within
     DEFAULT_ABSORB_TOL of a face are snapped, and a path freezes once it
-    reaches a vertex.  A block whose states are not all finite, as a
-    cov_fn that returns NaN or inf leaves them, raises NumericalError.
+    reaches a vertex.  States have shape (n_paths, n_times, d), step
+    variances tr C; non-finite states (a cov_fn giving NaN) raise NumericalError.
     """
     if not 1 <= d <= 4:
         raise ValueError("d must lie in 1..4")
@@ -160,53 +169,24 @@ def simulate_simplex_wf(d: int, x0, *, eps: float = 1e-2, n_paths: int = 1000,
         raise ValueError("x0 must be interior to the sub-probability simplex")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
+    seed = _check_seed(seed)
     policy = policy or StepPolicy()
-    cov = cov_fn or wf_covariance
     times = policy.time_grid(0.0, 1.0 - eps)
-    n_steps = len(times) - 1
-    dts = np.diff(times)
-
-    states = np.empty((n_paths, n_steps + 1, d))
-    abst = np.full(n_paths, np.nan)
-    block = 2048
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        bs = hi - lo
-        # one panel spans the horizon: every state is stored anyway
-        z = draw_block_normals(_one_shot_streams(seed, lo, hi),
-                               np.empty((bs, n_steps * d))).reshape(bs, n_steps, d)
-        x = np.tile(x0, (bs, 1))
-        states[lo:hi, 0] = x
-        alive = np.ones(bs, dtype=bool)
-        for k in range(n_steps):
-            if alive.any():
-                xa = x[alive]
-                root = _batched_psd_sqrt(cov(xa, times[k]) * dts[k])
-                xa = xa + np.einsum("bij,bj->bi", root, z[alive, k])
-                _project_simplex(xa)
-                # faces are absorbing: snap coordinates within tolerance;
-                # a coordinate snapped to 1 forces its siblings to 0
-                xa[xa <= DEFAULT_ABSORB_TOL] = 0.0
-                big = xa >= 1.0 - DEFAULT_ABSORB_TOL
-                has_big = big.any(axis=-1)
-                if has_big.any():
-                    xa[has_big] = np.where(big[has_big], 1.0, 0.0)
-                x[alive] = xa
-                newly = alive & _is_vertex(x, DEFAULT_ABSORB_TOL)
-                abst[lo:hi][newly] = times[k + 1]
-                alive &= ~newly
-            states[lo:hi, k + 1] = x
-        if not np.isfinite(states[lo:hi]).all():
-            raise NumericalError("simplex WF states are not finite; "
-                                 "the covariance function returned NaN or inf")
     scheme = (f"simplex_wf|d={d}|base_dt={policy.base_dt}"
               f"|shrink={policy.shrink}|absorb_tol={DEFAULT_ABSORB_TOL}")
-    return MdEnsemble(times, states, abst, int(seed), scheme, x0, 0.0, eps)
+    recipe = _EulerRecipe(times, x0, seed, _simplex_step(times, cov_fn or wf_covariance))
+    # materialized: callers read the states after reducing them, and a
+    # recipe would step the paths again for that
+    ens = PathEnsemble(times, n_paths, seed, scheme, x0, 0.0, eps, recipe=recipe).materialize()
+    if not np.isfinite(ens.states).all():
+        raise NumericalError("simplex WF states are not finite; "
+                             "the covariance function returned NaN or inf")
+    return ens
 
 
-def scalar_view(ens: MdEnsemble) -> PathEnsemble:
-    """d=1 ensemble reinterpreted as a scalar path ensemble (same paths)."""
-    if ens.d != 1:
+def scalar_view(ens: PathEnsemble) -> PathEnsemble:
+    """d=1 simplex ensemble reinterpreted as a scalar path ensemble (same paths)."""
+    if np.shape(ens.x0) != (1,):
         raise ValueError("scalar_view needs d = 1")
     states = ens.states[:, :, 0]
     sv = states[:, :-1] * (1.0 - states[:, :-1]) / (1.0 - ens.times[:-1])
@@ -216,32 +196,40 @@ def scalar_view(ens: MdEnsemble) -> PathEnsemble:
         x0=float(ens.x0[0]), t0=ens.t0, eps=ens.eps)
 
 
-def md_reciprocal_entropy(ens: MdEnsemble,
+class _MatrixCost:
+    """Observer: per-path sums of (tr(S log S) + d - tr(S)) * w, S = cov(x, t), in time order.
+
+    One eigvalsh call per chunk, then the steps are added one at a time,
+    as _StepSums adds them, so the sums do not depend on the chunk length.
+    """
+
+    def __init__(self, times, w, cov, bs):
+        self.times, self.w, self.cov = times, w, cov
+        self.acc = np.zeros(bs)
+
+    def chunk(self, k0, states, step_variance):
+        ks = [k for k in range(k0, k0 + len(step_variance)) if self.w[k] > 0]
+        if not ks:
+            return
+        C = np.stack([self.cov(states[k - k0], self.times[k]) for k in ks])
+        lam = np.maximum(np.linalg.eigvalsh(C), 0.0)
+        for k, row in zip(ks, integrand_reciprocal(lam).sum(axis=-1)):
+            self.acc += row * self.w[k]
+
+    def result(self, absorption_time):
+        return self.acc
+
+
+def md_reciprocal_entropy(ens: PathEnsemble,
                           cov_fn: Optional[Callable] = None) -> DivergenceEstimate:
     """(1/2) E[int tr(S log S) + d - tr(S) dt] along simplex paths, up to 1 - ens.eps.
 
     The integrand equals the scalar reciprocal integrand summed over the
-    eigenvalues of the step covariance rate, recomputed from the stored
-    states, so ensembles stay light in memory.
+    eigenvalues of the step covariance rate cov_fn(x, t), from the states.
     """
-    eps = float(ens.eps)
-    w = _step_weights(ens, eps)
-    cov = cov_fn or wf_covariance
-    n = ens.n_paths
-    vals = np.zeros(n)
-    chunk = max(1, 2_000_000 // (ens.states.shape[1] * ens.d * ens.d))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        xs = ens.states[lo:hi, :-1, :]
-        used = w > 0
-        C = np.empty((hi - lo, used.sum(), ens.d, ens.d))
-        tsel = np.where(used)[0]
-        for j, k in enumerate(tsel):
-            C[:, j] = cov(xs[:, k, :], ens.times[k])
-        lam = np.maximum(np.linalg.eigvalsh(C), 0.0)
-        integrand = integrand_reciprocal(lam).sum(axis=-1)
-        vals[lo:hi] = (integrand * w[used]).sum(axis=1)
-    return _mc_estimate(vals, 0.5, eps, "md_reciprocal")
+    w = _step_weights(ens, ens.eps)
+    vals = ens.observe(lambda bs: _MatrixCost(ens.times, w, cov_fn or wf_covariance, bs))
+    return _mc_estimate(vals, 0.5, ens.eps, "md_reciprocal")
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Containers for simulated martingale paths.
 
-All simulators in this package produce ensembles of scalar paths on one
-shared, deterministic time grid.  Per-path randomness comes from a
-counter-based generator keyed by (master_seed, path_index), so the same
-seed reproduces the same ensemble bit for bit, no matter how the paths
-are partitioned into blocks or how many worker threads reduce them.
+All simulators in this package produce ensembles of paths on one shared,
+deterministic time grid; a state is a scalar, or a d-vector (x0.shape)
+for the simplex WF.  Per-path randomness comes from a counter-based
+generator keyed by (master_seed, path_index), so the same seed
+reproduces the same ensemble bit for bit, no matter how the paths are
+partitioned into blocks or how many worker threads reduce them.
 
 An ensemble is stored one of two ways: as arrays (read from a file,
-built by from_arrays, or materialized on request) or, as every
-simulator returns it, as its recipe alone.  A reduction streams
-each block of paths through observers, time-major, one chunk of at most
-CHUNK_STEPS steps at a time: while a block is stepped, the recipe holds
-one panel of the block's normals (a whole number of chunks, about
-PANEL_ELEMENTS values) and one chunk of states and step variances, and
-an observer keeps only what it reduces to (per-path sums, snapshots at
-chosen grid nodes).  A counter-based stream gives the same normals
+built by from_arrays, or materialized, as the simplex WF returns it) or,
+as every scalar simulator returns it, as its recipe alone.  A reduction
+streams each block of paths through observers, time-major, one chunk of
+at most CHUNK_STEPS steps at a time: while a block is stepped, the
+recipe holds one panel of the block's normals (a whole number of chunks,
+about PANEL_ELEMENTS values) and one chunk of states and step variances,
+and an observer keeps only what it reduces to (per-path sums, snapshots
+at chosen grid nodes).  A counter-based stream gives the same normals
 however its draws are cut, so the panel width never changes a result.
 A path absorbed before a panel starts draws no normals in it, and a
 reduction skips a path's chunk whose variances are all 0, since an
@@ -39,7 +40,7 @@ ENSEMBLE_MAGIC = b"WMEN"
 ENSEMBLE_FORMAT_VERSION = 1
 
 DEFAULT_BLOCK_SIZE = 8192
-# materialize refuses an ensemble of more states + step variances than this
+# materialize refuses more state coordinates + step variances than this
 DENSE_ELEMENT_LIMIT = 240_000_000
 # a time-major chunk handed to observers spans at most CHUNK_STEPS steps,
 # and fewer in wide blocks, so one chunk buffer holds about CHUNK_ELEMENTS
@@ -165,7 +166,7 @@ class SamplePath:
 class _Block:
     lo: int
     hi: int
-    states: np.ndarray          # (bs, n_times)
+    states: np.ndarray          # (bs, n_times) + x0's shape
     step_variance: np.ndarray   # (bs, n_steps)
     absorption_time: np.ndarray  # (bs,), NaN when never absorbed
 
@@ -203,7 +204,7 @@ class _Store:
         self.step_variance = step_variance
 
     def chunk(self, k0, states, step_variance):
-        self.states[:, k0:k0 + len(states)] = states.T
+        self.states[:, k0:k0 + len(states)] = states.swapaxes(0, 1)
         self.step_variance[:, k0:k0 + len(step_variance)] = step_variance.T
 
 
@@ -219,12 +220,12 @@ def panel_steps(bs: int, n_steps: int) -> int:
 
 
 def _feed_arrays(states, step_variance, observers) -> None:
-    """Hand a (bs, n_times) block to observers in time-major chunks."""
-    bs, n_steps = step_variance.shape
-    t_chunk = chunk_steps(bs, n_steps)
+    """Hand a (bs, n_times) + x0's shape block to observers in time-major chunks."""
+    n_steps = step_variance.shape[1]
+    t_chunk = chunk_steps(states[:, 0].size, n_steps)
     for k0 in range(0, n_steps, t_chunk):
         k1 = min(k0 + t_chunk, n_steps)
-        st = np.ascontiguousarray(states[:, k0:k1 + 1].T)
+        st = np.ascontiguousarray(states[:, k0:k1 + 1].swapaxes(0, 1))
         sv = np.ascontiguousarray(step_variance[:, k0:k1].T)
         for obs in observers:
             obs.chunk(k0, st, sv)
@@ -269,7 +270,7 @@ class PathEnsemble:
         if self._states is None and self._recipe is None:
             raise ValueError("ensemble needs either arrays or a recipe")
         if self._states is not None:
-            if self._states.shape != (self.n_paths, self.n_times):
+            if self._states.shape[:2] != (self.n_paths, self.n_times):
                 raise ValueError("states shape does not match grid")
             if self._step_variance is None or \
                     self._step_variance.shape != (self.n_paths, self.n_steps):
@@ -294,6 +295,10 @@ class PathEnsemble:
     @property
     def is_materialized(self) -> bool:
         return self._states is not None
+
+    # (n_paths, n_times) + x0's shape and (n_paths,); reading either materializes
+    states = property(lambda self: self.materialize()._states)
+    absorption_time = property(lambda self: self.materialize()._absorption_time)
 
     # -- block access ----------------------------------------------------
 
@@ -321,7 +326,7 @@ class PathEnsemble:
             return _Block(lo, hi, self._states[lo:hi],
                           self._step_variance[lo:hi],
                           self._absorption_time[lo:hi])
-        store = _Store(np.empty((hi - lo, self.n_times)),
+        store = _Store(np.empty((hi - lo, self.n_times) + np.shape(self.x0)),
                        np.empty((hi - lo, self.n_steps)))
         abst = self._recipe.stream(lo, hi, [store])
         return _Block(lo, hi, store.states, store.step_variance, abst)
@@ -382,10 +387,10 @@ class PathEnsemble:
     def materialize(self) -> "PathEnsemble":
         if self.is_materialized:
             return self
-        if 2 * self.n_paths * self.n_times > DENSE_ELEMENT_LIMIT:
+        if (1 + np.size(self.x0)) * self.n_paths * self.n_times > DENSE_ELEMENT_LIMIT:
             raise MemoryError("ensemble too large to materialize; "
                               "use iter_blocks/reduce_paths")
-        states = np.empty((self.n_paths, self.n_times))
+        states = np.empty((self.n_paths, self.n_times) + np.shape(self.x0))
         stepvar = np.empty((self.n_paths, self.n_steps))
         abst = np.empty(self.n_paths)
         for lo, hi in self._ranges(None):
@@ -422,6 +427,8 @@ class PathEnsemble:
         sigma_sq on a row is the variance used on the step starting at
         that row's t; the final grid time carries 0.
         """
+        if np.ndim(self.x0):    # refused before open, so no partial file is left
+            raise ValueError("to_csv writes scalar paths only")
         rows = [f"%d,{t:.17g},%.17g,%.17g\r\n" for t in self.times.tolist()]
         # one write per 128 rows: writing a whole path's text at once raised peak RSS
         parts = [(k, "".join(rows[k:k + 128])) for k in range(0, len(rows), 128)]
@@ -446,8 +453,9 @@ class PathEnsemble:
         absorption time as one f64 (NaN when never absorbed).  All
         integers and doubles little-endian.
         """
-        x0s = float(self.x0) if np.isscalar(self.x0) or np.ndim(self.x0) == 0 \
-            else float(np.asarray(self.x0).ravel()[0])
+        if np.ndim(self.x0):
+            raise ValueError("to_binary writes scalar paths only")
+        x0s = float(self.x0)
         scheme_b = self.scheme.encode("utf-8")
         rec = _record_dtype(self.n_times)
         with open(path, "wb") as fh:

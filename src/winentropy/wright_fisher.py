@@ -42,11 +42,12 @@ def _check_seed(seed):
 # simulators
 # ---------------------------------------------------------------------------
 
-def _normal_panels(seed, lo, hi, n_steps, abst=None):
+def _normal_panels(seed, lo, hi, n_steps, abst=None, shape=()):
     """Yield (k0, z, live): normals of paths lo + live for steps k0..k0+m-1.
 
-    Row j of z, a (len(live), m) array, belongs to path lo + live[j].
-    Panels span panel_steps(bs, n_steps) steps, the last one fewer, and
+    Row j of z, a (len(live), m) + shape array, belongs to path lo + live[j];
+    step k's d = prod(shape) normals are entries k*d..k*d+d-1 of its stream.
+    Panels span panel_steps(bs*d, n_steps) steps, the last one fewer, and
     each is drawn only when the caller asks for it, into one buffer the
     caller must be done with by then.  A block that fits in one panel
     draws each path's stream once, from one re-keyed generator
@@ -59,33 +60,34 @@ def _normal_panels(seed, lo, hi, n_steps, abst=None):
     draw_block_normals attribute, which benchmarks/tracing.py wraps to
     time the normals layer.
     """
-    bs = hi - lo
-    width = panel_steps(bs, n_steps)
+    bs, d = hi - lo, math.prod(shape)
+    width = panel_steps(bs * d, n_steps)
     streams = _one_shot_streams(seed, lo, hi) if width == n_steps else \
         [path_rng(seed, i) for i in range(lo, hi)]
     live = np.arange(bs)
-    panel = np.empty((bs, width))
+    panel = np.empty((bs, width * d))
     for k0 in range(0, n_steps, width):
         if k0 and abst is not None:
             keep = np.isnan(abst[live])
             streams = [s for s, k in zip(streams, keep) if k]
             live = live[keep]
-        z = panel[:len(live), :min(width, n_steps - k0)]
-        yield k0, draw_block_normals(streams, z), live
+        m = min(width, n_steps - k0)
+        z = draw_block_normals(streams, panel[:len(live), :m * d])
+        yield k0, z.reshape((len(live), m) + shape), live
 
 
 class _EulerRecipe:
     """Streaming block recipe: Euler-Maruyama stepped time-major.
 
     stream(lo, hi, observers) steps all of a block's paths together, one
-    chunk of T = chunk_steps(bs, n_steps) steps at a time, in
-    preallocated (T+1, bs) state and (T, bs) variance buffers, and hands
-    each chunk to the observers.  It holds one panel of the block's
-    normals (_normal_panels), a whole number of chunks wide, and draws
-    the next panel when the stepping reaches its end, only for the paths
-    abst still marks live; absorbed paths step with normals of 0, which
-    leave their states and zero variances exactly as they are.  It stops
-    after a chunk for which every observer returned True.
+    chunk of T = chunk_steps(bs*x0.size, n_steps) steps at a time, in
+    preallocated (T+1, bs) + x0.shape state and (T, bs) variance buffers,
+    and hands each chunk to the observers.  It holds one panel of the
+    block's normals (_normal_panels), a whole number of chunks wide, and
+    draws the next panel when the stepping reaches its end, only for the
+    paths abst still marks live; absorbed paths step with normals of 0,
+    which leave their states and zero variances exactly as they are.  It
+    stops after a chunk for which every observer returned True.
 
     new_step(x, abst) sets up one block, given its first state x and its
     absorption times abst (all NaN), both of which it may edit.  It
@@ -95,24 +97,24 @@ class _EulerRecipe:
 
     def __init__(self, times, x0, seed, new_step):
         self.times = times
-        self.x0 = float(x0)
+        self.x0 = np.asarray(x0, dtype=float)
         self.seed = seed
         self.new_step = new_step
 
     def stream(self, lo, hi, observers):
-        n_steps, bs = len(self.times) - 1, hi - lo
-        t_chunk = chunk_steps(bs, n_steps)
-        states = np.empty((t_chunk + 1, bs))
+        n_steps, bs, shape = len(self.times) - 1, hi - lo, self.x0.shape
+        t_chunk = chunk_steps(bs * self.x0.size, n_steps)
+        states = np.empty((t_chunk + 1, bs) + shape)
         stepvar = np.empty((t_chunk, bs))
-        zt = np.empty((t_chunk, bs))
+        zt = np.empty((t_chunk, bs) + shape)
         states[0] = self.x0
         abst = np.full(bs, np.nan)
         step = self.new_step(states[0], abst)
-        for p0, z, live in _normal_panels(self.seed, lo, hi, n_steps, abst):
+        for p0, z, live in _normal_panels(self.seed, lo, hi, n_steps, abst, shape):
             zt.fill(0.0)    # the columns of absorbed paths
             for c0 in range(0, z.shape[1], t_chunk):
                 k0, m = p0 + c0, min(t_chunk, z.shape[1] - c0)
-                zt[:m, live] = z[:, c0:c0 + m].T
+                zt[:m, live] = z[:, c0:c0 + m].swapaxes(0, 1)
                 for j in range(m):
                     step(k0 + j, states[j], states[j + 1], stepvar[j], zt[j])
                 # a list, so that every observer sees the chunk
@@ -457,13 +459,14 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
     The time change tau = <X>^{-1}(1) makes the two expectations equal.
 
     Returns (lhs, rhs) as DivergenceEstimate values; they must agree
-    within combined Monte Carlo error.  dt must divide [0, 1] into a
+    within combined Monte Carlo error.  sigma_max, the caller's upper
+    bound on sigma, is only validated; it changes no result.  dt must divide [0, 1] into a
     whole number of steps.  The SDE side stops stepping at the end of the
     chunk in which its last path exhausts quadratic variation 1, so it
     draws no normals after that chunk's panel.
     """
-    if not sigma_min > 0:
-        raise ValueError("sigma_min must be positive")
+    if not 0 < sigma_min <= sigma_max:
+        raise ValueError("need 0 < sigma_min <= sigma_max")
     if not (0.0 < dt <= 1.0 and math.isfinite(1.0 / dt)):
         raise ValueError(f"dt must satisfy 0 < dt <= 1 with 1/dt finite, got {dt!r}")
     n_steps_l = round(1.0 / dt)

@@ -7,6 +7,7 @@ gone, so a refactor that renames or moves one of them would break
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 
@@ -43,3 +44,22 @@ def test_tracer_installs_and_restores():
         tracer.uninstall()
     for o, a, raw in before:
         assert (o.__dict__ if isinstance(o, type) else vars(o))[a] is raw
+
+
+WORKLOADS = TRACING.with_name("workloads.py")
+
+
+def test_every_workload_passes_its_checks_at_small_size(tmp_path):
+    # the benchmark reads ensembles, scalar_view and the exporters through
+    # this interface; one round of each workload at the self-test's size
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod      # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(mod)
+        for name in mod.WORKLOADS:
+            wl = mod.make(name, 0, str(tmp_path / name), small=True)
+            out = wl.calls(lambda fn: fn())
+            assert wl.check(out).failed == [], name
+    finally:
+        del sys.modules[spec.name]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from winentropy.multidim import (matrix_log, md_reciprocal_entropy,
                                  perturbation_search, perturbed_covariance,
                                  quantum_entropy_rate, scalar_view,
                                  simulate_simplex_wf, wf_covariance)
-from winentropy.paths import NumericalError, StepPolicy
+from winentropy import paths
+from winentropy.paths import NumericalError, PathEnsemble, StepPolicy, panel_steps
 
 
 def random_spd(rng, d, scale=1.0):
@@ -120,6 +122,48 @@ def test_simplex_vertex_termination():
     assert (dist <= 1e-2).mean() >= 0.95
 
 
+# sha256 of states.tobytes() + absorption_time.tobytes(), recorded when the
+# simplex WF had its own stepping loop (one panel per path, blocks of 2048)
+SIMPLEX_PINS = {
+    2: ([0.3, 0.4], 600, 3,
+        "7cb45b39ab5c83c82f2611d9eece2cc32c0ad1d5dcb95aaf1ca0ccab1c4be061"),
+    3: ([0.2, 0.3, 0.25], 300, 11,
+        "4ecfa35d5baf33df219ee5a634f28c846f2751c9ae5e8f71330bdfc0b1c9e62b"),
+}
+
+
+@pytest.mark.parametrize("cut", ["default", "panels_and_blocks_of_7"])
+@pytest.mark.parametrize("d", sorted(SIMPLEX_PINS))
+def test_simplex_paths_are_pinned(monkeypatch, d, cut):
+    x0, n, seed, digest = SIMPLEX_PINS[d]
+    if cut != "default":
+        monkeypatch.setattr(paths, "PANEL_ELEMENTS", 1)
+        monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 7)
+        assert panel_steps(7 * d, 497) < 497    # several panels per block
+    ens = simulate_simplex_wf(d, x0, eps=1e-2, n_paths=n, seed=seed, policy=POL)
+    assert ens.states.shape == (n, 498, d)
+    got = hashlib.sha256(ens.states.tobytes() + ens.absorption_time.tobytes())
+    assert got.hexdigest() == digest
+
+
+def test_simplex_step_variance_is_trace_until_a_vertex():
+    ens = simulate_simplex_wf(2, [0.3, 0.4], eps=1e-2, n_paths=50, seed=3, policy=POL)
+    x = ens.states[:, :-1]
+    trace = (x * (1.0 - x)).sum(axis=-1) / (1.0 - ens.times[:-1])
+    at_vertex = ens.times[None, :-1] >= ens.absorption_time[:, None]   # False for NaN
+    assert at_vertex.any() and not at_vertex.all()
+    assert np.allclose(ens._step_variance, np.where(at_vertex, 0.0, trace), rtol=1e-12)
+
+
+def test_exporters_refuse_simplex_ensembles_before_opening(tmp_path):
+    ens = simulate_simplex_wf(2, [0.3, 0.3], eps=0.1, n_paths=3, seed=4,
+                              policy=StepPolicy(base_dt=0.05))
+    for write, name in ((ens.to_csv, "e.csv"), (ens.to_binary, "e.bin")):
+        with pytest.raises(ValueError, match="scalar paths only"):
+            write(str(tmp_path / name))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simplex_d1_matches_scalar_estimator():
     ens = simulate_simplex_wf(1, [0.5], eps=1e-2, n_paths=300, seed=5, policy=POL)
     sv = scalar_view(ens)
@@ -209,3 +253,28 @@ def test_search_report_is_json():
     assert payload["d"] == 2
     assert "baseline_value" in payload and "improves_significantly" in payload
     assert len(payload["candidates"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# the first-order condition (ROADMAP item 9(a))
+# ---------------------------------------------------------------------------
+
+def _hessian_asymmetry(field, x, h=1e-5):
+    """max |d_k F_ij - d_j F_ik| by central differences: 0 for a Hessian field."""
+    x = np.asarray(x, dtype=float)
+    grad = np.stack([(field(x + h * e) - field(x - h * e)) / (2.0 * h)
+                     for e in np.eye(len(x))])         # grad[k, i, j] = d_k F_ij
+    return float(np.abs(grad - grad.transpose(2, 1, 0)).max())
+
+
+def test_log_wf_covariance_is_not_a_hessian_field_for_d2():
+    # an optimal rate exp(-D^2 v) would make log C(x) a Hessian field up to c(t) I
+    def log_cov(x):
+        return matrix_log(wf_covariance(x, 0.0))
+
+    for x in ([0.2], [0.5], [0.7]):
+        assert _hessian_asymmetry(log_cov, x) <= 1e-6
+    for x in ([0.3, 0.3], [1 / 3, 1 / 3], [0.2, 0.5]):
+        assert _hessian_asymmetry(log_cov, x) > 0.5
+    # negative control: a diagonal field diag(g_i(x_i)) is a Hessian field
+    assert _hessian_asymmetry(lambda x: np.diag(np.log(x) + x * x), [0.2, 0.5]) == 0.0

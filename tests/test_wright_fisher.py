@@ -377,3 +377,10 @@ def test_reciprocity_accepts_dt_that_divides_the_unit_interval(dt):
                                  sigma_min=sq_e, sigma_max=sq_e, dt=dt)
     assert lhs.value == pytest.approx(1.0 / (2.0 * math.e), abs=1e-12)
     assert rhs.value == pytest.approx(1.0 / (2.0 * math.e), abs=1e-12)
+
+
+def test_reciprocity_rejects_sigma_max_below_sigma_min():
+    # sigma_max changes no result, but an inverted bound is a caller's error
+    with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
+        reciprocity_check(lambda x: np.ones_like(x), 0.0, 8, 0,
+                          sigma_min=1.0, sigma_max=0.5)
