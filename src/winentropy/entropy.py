@@ -40,7 +40,8 @@ def xlogx(s):
     """s*log(s) with the 0*log(0)=0 convention, elementwise."""
     a = np.asarray(s, dtype=float)
     # log(1) * 0 = +0.0; NaN and negative inputs give NaN
-    out = np.log(np.where(a == 0, 1.0, a))
+    out = np.where(a == 0, 1.0, a)
+    np.log(out, out=out)
     out *= a
     if np.ndim(s) == 0:
         return float(out)

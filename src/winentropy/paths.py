@@ -180,7 +180,10 @@ class _Block:
 # Then result(absorption_time) returns the block's rows, one per path.
 
 class Snapshots:
-    """States at chosen grid nodes, then the absorption time: (bs, len(nodes)+1)."""
+    """States at chosen grid nodes, then the absorption time: (bs, len(nodes)+1).
+
+    A recipe stops after the chunk that holds the last node, so later absorptions read NaN.
+    """
 
     def __init__(self, nodes, bs: int):
         self.nodes = [int(k) for k in nodes]
@@ -190,6 +193,7 @@ class Snapshots:
         for j, k in enumerate(self.nodes):
             if k0 <= k < k0 + len(states):
                 self.values[:, j] = states[k - k0]
+        return max(self.nodes, default=np.inf) < k0 + len(states)
 
     def result(self, absorption_time):
         self.values[:, -1] = absorption_time

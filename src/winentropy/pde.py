@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -160,21 +159,23 @@ def dp_step(v_next: np.ndarray, dx: float, dt: float, sigma_max: float, *,
     D += v_next[:-2]
     D /= dx * dx
     np.subtract(-1.0, D, out=tmp)                  # arg = -D - 1
-    if tmp.max() > 700.0:
+    # arg @ arg < 4.8e5 bounds |arg| by 693, so no check is due (notes/decisions.md §14)
+    exact = not (tmp @ tmp < 4.8e5 and math.log(sigma_max) > -700.0)
+    if exact and tmp.max() > 700.0:
         warnings.warn("exp overflow in the control formula; clamped to the cap")
     np.minimum(tmp, math.log(sigma_max), out=sig)
     np.exp(sig, out=sig)
-    underflow = sig.min() == 0.0                   # exp(arg) is 0; 0 log 0 = 0
-    with np.errstate(divide="ignore", invalid="ignore") if underflow else nullcontext():
+    if exact and sig.min() == 0.0:                 # exp(arg) is 0; 0 log 0 = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(sig, out=tmp)
+            tmp *= sig
+        tmp[sig == 0.0] = 0.0
+    else:
         np.log(sig, out=tmp)
         tmp *= sig
-    if underflow:
-        tmp[sig == 0.0] = 0.0
-    tmp *= 0.5
-    np.multiply(sig, 0.5, out=vi)
-    vi *= D
+    np.multiply(sig, D, out=vi)
     tmp += vi
-    tmp *= dt
+    tmp *= 0.5 * dt                                # dt (S log S + S D) / 2, exactly
     np.add(v_next[1:-1], tmp, out=vi)
     v[0] = v[-1] = 0.0
     return v, sig

@@ -272,7 +272,7 @@ def sigma_martingale_check(ens: PathEnsemble,
 
     The squared volatility of the scaled diffusion is a martingale, so
     its expectation is constant in t; the report carries a z-score per
-    checkpoint.
+    checkpoint.  A lazy ensemble is stepped only up to the last checkpoint.
     """
     cps = [float(c) for c in checkpoints]
     for c in cps:
@@ -424,19 +424,28 @@ class _CostToUnitQv:
         self.running = np.ones(bs, dtype=bool)
 
     def chunk(self, k0, states, step_variance):
-        dt, acc, running = self.dt, self.acc, self.running
-        for s2 in step_variance:
-            cost = 1.0 + xlogx(s2) - s2
-            q_next = self.q + s2 * dt
-            crossing = running & (q_next >= 1.0)
-            cont = running & ~crossing
-            acc[cont] += cost[cont] * dt
-            if crossing.any():
-                # partial step: only the time needed to bring <X> to 1
-                acc[crossing] += cost[crossing] * ((1.0 - self.q[crossing]) / s2[crossing])
-                running[crossing] = False
-            self.q = q_next
-        return not running.any()
+        qv = np.vstack([self.q, step_variance])
+        qv[1:] *= self.dt
+        for j in range(len(step_variance)):         # <X> after each step, in time order
+            qv[j + 1] += qv[j]
+        reached = qv[1:] >= 1.0
+        cross = np.flatnonzero(self.running & reached.any(0))
+        r = reached[:, cross].argmax(0)             # the step at which each one crosses
+        self.q, q_cross = qv[-1].copy(), qv[r, cross]
+        del qv                                      # one chunk-sized array alive at a time
+        cost = xlogx(step_variance)
+        cost += 1.0
+        cost -= step_variance
+        # partial step: only the time needed to bring <X> to 1
+        part = cost[r, cross] * ((1.0 - q_cross) / step_variance[r, cross])
+        cost *= self.dt
+        cost[:, ~self.running] = 0.0
+        cost[:, cross] = np.where(np.arange(len(cost))[:, None] < r, cost[:, cross], 0.0)
+        cost[r, cross] = part
+        for cost_k in cost:
+            self.acc += cost_k
+        self.running[cross] = False
+        return not self.running.any()
 
     def result(self, absorption_time):
         if self.running.any():

@@ -663,6 +663,29 @@ def test_lazy_sweep_holds_one_normals_panel():
     assert peak < 0.6 * whole, f"sweep peaked at {peak / 1e6:.1f} MB"
 
 
+def test_snapshots_stop_the_sweep_after_their_last_node(monkeypatch):
+    # chunks and panels of 40 steps: node 250 lies in the chunk of steps
+    # 240..279, so a sweep for it draws 7 of the 17 panels
+    monkeypatch.setattr(paths, "CHUNK_STEPS", 40)
+    monkeypatch.setattr(paths, "PANEL_ELEMENTS", 1)
+    ens = _absorbing_ensemble(lazy=True)
+    full = ens.observe(lambda bs: Snapshots([100, 250, ens.n_steps], bs))
+    shapes = _count_draws(monkeypatch)
+    got = ens.observe(lambda bs: Snapshots([250, 100], bs))
+    assert [m for _, m in shapes] == [40] * 7
+    assert np.array_equal(got[:, :2], full[:, [1, 0]])
+    # the absorption column stops with the sweep
+    stop = ens.times[280]
+    assert np.array_equal(got[:, 2], np.where(full[:, 3] <= stop, full[:, 3], np.nan),
+                          equal_nan=True)
+    assert np.isnan(got[:, 2]).sum() > np.isnan(full[:, 3]).sum()
+    # with no nodes the sweep runs to the end
+    shapes.clear()
+    assert np.array_equal(ens.observe(lambda bs: Snapshots([], bs))[:, 0], full[:, 3],
+                          equal_nan=True)
+    assert len(shapes) == 17
+
+
 # -- absorbed paths cost nothing ---------------------------------------------
 
 # (CHUNK_STEPS, PANEL_ELEMENTS) that cut a 661-step block of 48 paths into

@@ -139,6 +139,51 @@ def test_dp_step_workspace_gives_same_bits():
                 assert got_sig.tobytes() == ref_sig.tobytes()
 
 
+def _kink_row(n, dx, j, arg):
+    # zero row but for node j, whose control argument -D - 1 is about arg
+    v = np.zeros(n)
+    v[j + 1] = 0.5 * (arg + 1.0) * dx * dx
+    return v
+
+
+def test_dp_step_range_check_branches():
+    # rows on both sides of the overflow warning (arg > 700), a row whose
+    # sum of squared arguments passes 4.8e5 with every |arg| < 700, an
+    # underflowing node and a NaN; each step gives the formula's bytes,
+    # and only the 700.1 row warns
+    n = 41
+    dx = 1.0 / (n - 1)
+    dt = dx * dx / 10.0
+    smax = dx * dx / dt
+    zigzag = 27.8 * dx * dx * (-1.0) ** np.arange(n)    # args 110.2 and -112.2
+    nan_row = np.linspace(0.0, 0.3, n)
+    nan_row[7] = np.nan
+    rows = {"699.9": _kink_row(n, dx, 12, 699.9), "700.1": _kink_row(n, dx, 12, 700.1),
+            "sum": zigzag, "underflow": _kink_row(n, dx, 20, -745.5), "nan": nan_row,
+            "plain": 0.1 * np.sin(np.pi * np.linspace(0.0, 1.0, n))}
+    arg = {k: -(v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx) - 1.0 for k, v in rows.items()}
+    assert 699.8 < arg["699.9"].max() < 700.0 < arg["700.1"].max() < 700.2
+    assert 4.8e5 < arg["sum"] @ arg["sum"] < 4.9e5 and np.abs(arg["sum"]).max() < 700.0
+    assert np.exp(arg["underflow"].min()) == 0.0
+    work = dp_workspace(n)
+    for name, v_next in rows.items():
+        ref, ref_sig = _dp_step_formula(v_next, dx, dt, smax)
+        for kw in ({}, {"work": work}):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                v, sig = dp_step(v_next, dx, dt, smax, **kw)
+            assert [str(w.message) for w in caught] == (
+                ["exp overflow in the control formula; clamped to the cap"]
+                if name == "700.1" else []), name
+            for got, want in ((v, ref), (sig, ref_sig)):
+                # NaN in the same places (its sign bit is not meaningful), else the same bytes
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan), name
+                assert got[~nan].tobytes() == want[~nan].tobytes(), name
+            # NaN out only where the NaN node enters the stencil
+            assert np.flatnonzero(np.isnan(v)).tolist() == ([6, 7, 8] if name == "nan" else [])
+
+
 # ---------------------------------------------------------------------------
 # full backward solves
 # ---------------------------------------------------------------------------
@@ -156,6 +201,20 @@ def _sha(a):
      ("8f4ccefddf19c74cdb01804c600f6ae5ed1b2a83dd2c344691034b5c26580f10",
       "00dd51f3719f9f8da641e67dc9bc4aeb20850462458d9c4f8cca2ceb2da51c43",
       "ac7f170bd35dc75702730eb37ecdcc60e59af06236ad6223aeccffce97ae5e32")),
+    # the three levels of default_refinement_specs(3, 10, 1e-2), which the
+    # pde-routes benchmark solves
+    (DpSpec.balanced(10, 1e-2),
+     ("e3d368dc96a464ba6bb63af5f21dcc0d1434757d01e336391c00c539a94203e5",
+      "feab7c2c578ea0204066757f623a50be57bfe526b36c2b320aa8c456f1c2902f",
+      "1e269882f46372639c8bd806d9563a8a71c6fa7dc5bc870f3993c0cfda4d3f65")),
+    (DpSpec.balanced(20, 1e-2),
+     ("0c026ceaa2f96fc8b317ceedc990d5cd4125cbd40faf6ecdcd4f9aa013de1acb",
+      "db9fa2bc17e38b5bd753824a6f50ea4b3522faf2d2cf995a1542827257fb5d3f",
+      "1d5e0f39e99930594766da4b4de8a3f859e680d10ebe0cd2c70ba76fe2684c8f")),
+    (DpSpec.balanced(40, 1e-2),
+     ("fc004f0b381877188145632df20c474d24f1d7140c3cc8606eed23bea88dc6bd",
+      "9d330458be3de771ae99ac90b131da4d0800fca2756694128a4a7531172b0290",
+      "197e3b37995c7cc408371d2cdfe4925a62b37d0c86c8235c881d2411122e96d1")),
 ])
 def test_dp_solution_matches_golden(spec, digests):
     # SHA-256 of the value row, the policy surface and the policy times,
