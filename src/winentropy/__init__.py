@@ -18,19 +18,18 @@ from .closed_form import (GridFunction, hjb_residual, optimal_volatility,
 from .entropy import (DeterministicVolatility, DivergenceEstimate,
                       deterministic_divergence, entropy_log_moment_estimate,
                       integrand_reciprocal, integrand_specific,
-                      inverse_t_log_cubed, p_difference_quotient,
-                      p_divergence_estimate, p_quotient_profile,
-                      reciprocal_entropy_estimate, specific_entropy_estimate)
+                      inverse_t_log_cubed, p_divergence_estimate,
+                      p_quotient_profile, reciprocal_entropy_estimate,
+                      specific_entropy_estimate)
 from .multidim import (matrix_log, md_reciprocal_entropy, perturbation_search,
                        quantum_entropy_rate, simulate_simplex_wf)
-from .paths import (ACCURATE_POLICY, NumericalError, PathEnsemble, SamplePath,
-                    StepPolicy, constant_variance_ensemble,
-                    piecewise_constant_ensemble, set_max_workers)
+from .paths import (ACCURATE_POLICY, NumericalError, PathEnsemble, StepPolicy,
+                    constant_variance_ensemble, piecewise_constant_ensemble,
+                    set_max_workers)
 from .pde import DpSpec, dp_refinement_study, solve_dp, solve_stationary
 from .trinomial import (TrinomialSpec, extended_entropy, one_step_kl,
                         scaled_path_entropy, scaling_limit_gap)
-from .wright_fisher import (jacobi_p11, moment_series_bound, p_moment_estimate,
-                            reciprocity_check, sigma_martingale_check,
+from .wright_fisher import (jacobi_p11, reciprocity_check, sigma_martingale_check,
                             simulate_generic_sde, simulate_scaled_wf,
-                            simulate_standard_wf, time_change_map,
-                            transition_density, transition_density_mass)
+                            simulate_standard_wf, transition_density,
+                            transition_density_mass)

@@ -236,14 +236,6 @@ def _cmd_sigma_martingale(args):
     return (["t", "mean_sigma", "std_error", "reference", "z"], rows), {}
 
 
-@_command("moment", "Monte Carlo E[int S^q dt]", _OBJECT_KINDS, *_MC, ("q", float, 1.5))
-def _cmd_moment(args):
-    ens = _build_scaled(args)
-    est = wright_fisher.p_moment_estimate(ens, args.q, args.eps)
-    print(f"{est.value:.6g} +- {est.std_error:.3g}")
-    return dataclasses.asdict(est), {}
-
-
 @_command("density", "Jacobi-series transition density profile", _ROW_KINDS,
           *_TX, ("points", int, 99), ("terms", int, None))
 def _cmd_density(args):

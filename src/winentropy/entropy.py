@@ -194,17 +194,6 @@ def p_divergence_estimate(ens: PathEnsemble, p: float,
     return _mc_estimate(vals, 1.0, eps, f"{P_WASSERSTEIN}({p})")
 
 
-def p_difference_quotient(ens: PathEnsemble, p: float, eps: float | None = None) -> float:
-    """Mean of (int S^{p/2} - int S)/(p-2) computed path by path.
-
-    Differencing inside each path (common random numbers) keeps the
-    Monte Carlo variance of the quotient far below that of the two
-    p-divergences separately.
-    """
-    profile, _ = p_quotient_profile(ens, [p], eps)
-    return profile[0][1]
-
-
 def p_quotient_profile(ens: PathEnsemble, ps: Sequence[float], eps: float | None = None):
     """Difference quotients for several p > 2 plus the p=2 entropy, one sweep.
 

@@ -10,15 +10,15 @@ vertices; the candidate optimizer simulated here is the multi-allele
 neutral Wright-Fisher diffusion with covariance
     (diag(x) - x x^T) / (1 - t),
 and a local perturbation search probes whether nearby feasible
-volatility surfaces beat it.  The Euler kernel of wright_fisher steps
-the paths, and the matrix entropy observes them.
+volatility surfaces beat it; a covariance that is not positive
+semidefinite on a path is refused, not clamped.  The Euler kernel of
+wright_fisher steps the paths, and the matrix entropy observes them.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -109,8 +109,11 @@ def _project_simplex(x):
 
 
 def _batched_psd_sqrt(C):
-    w, v = np.linalg.eigh(C)
-    w = np.maximum(w, 0.0)   # tolerated numerical negativity
+    w, v = np.linalg.eigh(C)   # eigenvalues ascending
+    if w[..., 0].min() < -EIG_NEG_TOL * w[..., -1].max():
+        raise NumericalError(f"covariance is not positive semidefinite "
+                             f"(min eigenvalue {w[..., 0].min():.3e})")
+    w = np.maximum(w, 0.0)   # rounding only
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
@@ -158,7 +161,9 @@ def simulate_simplex_wf(d: int, x0, *, eps: float = 1e-2, n_paths: int = 1000,
     projected back onto the simplex, coordinates within
     DEFAULT_ABSORB_TOL of a face are snapped, and a path freezes once it
     reaches a vertex.  States have shape (n_paths, n_times, d), step
-    variances tr C; non-finite states (a cov_fn giving NaN) raise NumericalError.
+    variances tr C.  NumericalError is raised for non-finite states (a
+    cov_fn giving NaN) and when a live path's covariance has an
+    eigenvalue below -EIG_NEG_TOL times the step's largest.
     """
     if not 1 <= d <= 4:
         raise ValueError("d must lie in 1..4")
@@ -257,9 +262,9 @@ SEARCH_SHAPES = (("flat", _shape_flat),
 def perturbed_covariance(theta: float, g: Callable) -> Callable:
     """WF covariance plus theta * diag(x_i(1-x_i)) * g(x) / (1-t).
 
-    The diagonal perturbation vanishes at the vertices and keeps the
-    matrix PSD for moderate theta; residual negativity is clamped in the
-    square root.
+    The diagonal perturbation vanishes at the vertices but need not keep
+    the matrix PSD (at d = 2, flat theta = -0.75 is not PSD at the
+    centroid); simulating such a candidate raises NumericalError.
     """
     def cov(x, t):
         base = wf_covariance(x, t)
@@ -293,9 +298,6 @@ class SearchReport:
     n_paths: int = 0
     seed: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def perturbation_search(d: int, x0, budget: int = 18, *, n_paths: int = 2000,
                         eps: float = 1e-2, seed: int = 0,
@@ -305,8 +307,10 @@ def perturbation_search(d: int, x0, budget: int = 18, *, n_paths: int = 2000,
     Candidates are SEARCH_SHAPES at six thetas in [-0.75, 0.75], in order
     until the budget is spent.  Each runs on the same seed (common random
     numbers), must end at vertices (90% of paths absorbed or within 1e-2
-    of one; infeasible members are excluded but reported), and is
-    compared to the baseline at 3 combined standard errors.
+    of one) and stay PSD along its paths; infeasible members are
+    excluded but reported, a non-PSD one with NaN value, std_error and
+    vertex_fraction.  The best is compared to the baseline at 3
+    combined standard errors.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     policy = policy or StepPolicy()
@@ -334,9 +338,12 @@ def perturbation_search(d: int, x0, budget: int = 18, *, n_paths: int = 2000,
             if evals >= budget:
                 break
             evals += 1
-            est, vfrac = evaluate(perturbed_covariance(float(theta), g))
-            cand = SearchCandidate(name, float(theta), est.value,
-                                   est.std_error,
+            try:
+                est, vfrac = evaluate(perturbed_covariance(float(theta), g))
+                value, se = est.value, est.std_error
+            except NumericalError:
+                value = se = vfrac = math.nan
+            cand = SearchCandidate(name, float(theta), value, se,
                                    feasible=vfrac >= 0.9,
                                    vertex_fraction=vfrac)
             report.candidates.append(cand)

@@ -153,16 +153,6 @@ ACCURATE_POLICY = StepPolicy(base_dt=1.25e-4, adaptive=True, shrink=0.01)
 
 
 @dataclass
-class SamplePath:
-    """One trajectory: time grid, states, per-step variance, absorption."""
-
-    times: np.ndarray
-    states: np.ndarray
-    step_variance: np.ndarray
-    absorption_time: Optional[float] = None
-
-
-@dataclass
 class _Block:
     lo: int
     hi: int
@@ -293,10 +283,6 @@ class PathEnsemble:
         return len(self.times) - 1
 
     @property
-    def dts(self) -> np.ndarray:
-        return np.diff(self.times)
-
-    @property
     def is_materialized(self) -> bool:
         return self._states is not None
 
@@ -379,14 +365,6 @@ class PathEnsemble:
             return obs.result(self._stream(lo, hi, [obs]))
 
         return self._map_blocks(work, block_size)
-
-    def path(self, i: int) -> SamplePath:
-        if not (0 <= i < self.n_paths):
-            raise IndexError("path index out of range")
-        blk = self._get_block(i, i + 1)
-        at = blk.absorption_time[0]
-        return SamplePath(self.times, blk.states[0], blk.step_variance[0],
-                          None if np.isnan(at) else float(at))
 
     def materialize(self) -> "PathEnsemble":
         if self.is_materialized:

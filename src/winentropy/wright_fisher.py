@@ -22,8 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropy import (DivergenceEstimate, _mc_estimate, _per_path_integrals,
-                      _StepSums, xlogx)
+from .entropy import _mc_estimate, _StepSums, xlogx
 from .paths import (NumericalError, PathEnsemble, Snapshots, StepPolicy,
                     _one_shot_streams, chunk_steps, draw_block_normals,
                     panel_steps, path_rng)
@@ -250,13 +249,6 @@ def simulate_generic_sde(sigma: Callable[[np.ndarray], np.ndarray], x0: float,
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def time_change_map(t: float) -> float:
-    """Clock change s(t) = 1 - exp(-t) taking [0, inf) onto [0, 1)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return float(-np.expm1(-t))
-
-
 @dataclass(frozen=True)
 class CheckpointStat:
     t: float
@@ -293,15 +285,6 @@ def sigma_martingale_check(ens: PathEnsemble,
         z = 0.0 if se == 0 else (m - ref) / se
         out.append(CheckpointStat(float(tgrid[j]), m, se, ref, z))
     return out
-
-
-def p_moment_estimate(ens: PathEnsemble, q: float, eps: float | None = None) -> DivergenceEstimate:
-    """Monte Carlo E[int S^q dt] up to 1-eps (integrability diagnostics)."""
-    if not q > 0:
-        raise ValueError("q must be positive")
-    eps = float(ens.eps) if eps is None else float(eps)
-    vals = _per_path_integrals(ens, lambda s: np.power(s, q), eps)
-    return _mc_estimate(vals, 1.0, eps, f"sigma_moment({q})")
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +377,6 @@ def transition_density_mass(t: float, x: float,
     """int_0^1 rho(t, x, y) dy by Gauss-Legendre quadrature (survival mass)."""
     ynodes, w = _unit_gauss_legendre(128)
     return float(np.sum(transition_density(t, x, ynodes, n_terms) * w))
-
-
-def moment_series_bound(t: float, n_terms: int = 30) -> float:
-    """Truncated sum of exp(-n(n+1)t) n(n+1)(2n+1).
-
-    Series upper bound for E[sqrt(X(1-X))] of the standard diffusion,
-    kept with the stated rates n(n+1); it dominates the Monte Carlo
-    means at the moderate times where it is used.
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    ns = np.arange(1, n_terms + 1, dtype=float)
-    return float(np.sum(np.exp(-ns * (ns + 1) * t) * ns * (ns + 1) * (2 * ns + 1)))
 
 
 # ---------------------------------------------------------------------------

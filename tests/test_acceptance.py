@@ -199,7 +199,7 @@ def test_criterion_08_moment_finiteness():
     for i, eps in enumerate((1e-2, 1e-3, 1e-4)):
         ens = simulate_scaled_wf(0.5, eps=eps, n_paths=1000, seed=101 + i,
                                  policy=pol)
-        ests.append(we.p_moment_estimate(ens, 1.5))
+        ests.append(we.p_divergence_estimate(ens, 3.0))   # E int S^1.5 dt
     ok = True
     details = []
     for a in range(3):

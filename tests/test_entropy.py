@@ -8,8 +8,8 @@ from winentropy.entropy import (LOG_MOMENT, P_WASSERSTEIN, RECIPROCAL, SPECIFIC,
                                 DeterministicVolatility, deterministic_divergence,
                                 entropy_log_moment_estimate, integrand_reciprocal,
                                 integrand_specific, inverse_t_log_cubed,
-                                p_difference_quotient, p_divergence_estimate,
-                                p_quotient_profile, reciprocal_entropy_estimate,
+                                p_divergence_estimate, p_quotient_profile,
+                                reciprocal_entropy_estimate,
                                 specific_entropy_estimate, xlogx)
 from winentropy.paths import (PathEnsemble, constant_variance_ensemble,
                               piecewise_constant_ensemble)
@@ -158,10 +158,10 @@ def test_time_cutoff_truncates_partial_step():
 def test_difference_quotient_constants():
     unit = constant_variance_ensemble(1.0, n_steps=16, n_paths=4)
     for p in (2.5, 3.0, 4.0):
-        assert p_difference_quotient(unit, p) == pytest.approx(0.0, abs=1e-14)
+        assert p_quotient_profile(unit, [p])[0][0][1] == pytest.approx(0.0, abs=1e-14)
 
     four = constant_variance_ensemble(4.0, n_steps=16, n_paths=4)
-    q = p_difference_quotient(four, 3.0)
+    q = p_quotient_profile(four, [3.0])[0][0][1]
     assert q == pytest.approx(4.0, abs=1e-12)
     assert q >= 0.5 * 4.0 * math.log(4.0)   # convexity lower bound
 
@@ -172,13 +172,14 @@ def test_quotient_profile_monotone_and_matches_single():
     rows, lm = p_quotient_profile(ens, [2.1, 2.05, 2.01])
     vals = [q for _, q, _ in rows]
     assert vals[0] > vals[1] > vals[2] > lm.value
-    assert rows[1][1] == pytest.approx(p_difference_quotient(ens, 2.05), rel=1e-13)
+    single = p_quotient_profile(ens, [2.05])[0][0][1]
+    assert rows[1][1] == pytest.approx(single, rel=1e-13)
 
 
 def test_quotient_requires_p_above_two():
     ens = constant_variance_ensemble(1.0, n_steps=4, n_paths=2)
     with pytest.raises(ValueError):
-        p_difference_quotient(ens, 2.0)
+        p_quotient_profile(ens, [2.0])
     with pytest.raises(ValueError):
         p_divergence_estimate(ens, -1.0)
 

@@ -237,6 +237,28 @@ def test_perturbed_covariance_zero_theta_is_baseline():
     assert np.allclose(base, pert)
 
 
+def test_non_psd_covariance_raises():
+    # eigenvalues (1 + theta) 2/9 +- 1/9 at the centroid: -1/18 at theta = -0.75
+    cov = perturbed_covariance(-0.75, lambda y: np.ones(y.shape[:-1]))
+    assert np.linalg.eigvalsh(cov(np.array([1 / 3, 1 / 3]), 0.0))[0] < 0
+    with pytest.raises(NumericalError, match="not positive semidefinite"):
+        simulate_simplex_wf(2, [1 / 3, 1 / 3], eps=1e-2, n_paths=4, seed=0,
+                            policy=POL, cov_fn=cov)
+
+
+def test_search_marks_non_psd_candidates_infeasible():
+    # every tilt candidate leaves the PSD cone on some path at d = 2
+    report = perturbation_search(2, [1 / 3, 1 / 3], budget=18, n_paths=300,
+                                 eps=1e-2, seed=0, policy=POL)
+    tilts = [c for c in report.candidates if c.shape == "tilt"]
+    assert len(tilts) == 6
+    for c in tilts:
+        assert not c.feasible
+        assert math.isnan(c.value) and math.isnan(c.std_error)
+        assert math.isnan(c.vertex_fraction)
+    assert report.best is None or math.isfinite(report.best.value)
+
+
 def test_search_d1_baseline_not_beaten():
     report = perturbation_search(1, [0.5], budget=8, n_paths=800, eps=1e-2,
                                  seed=9, policy=POL)
@@ -246,10 +268,11 @@ def test_search_d1_baseline_not_beaten():
 
 
 def test_search_report_is_json():
+    import dataclasses
     import json
     report = perturbation_search(2, [1 / 3, 1 / 3], budget=4, n_paths=300,
                                  eps=1e-2, seed=10, policy=POL)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(dataclasses.asdict(report)))
     assert payload["d"] == 2
     assert "baseline_value" in payload and "improves_significantly" in payload
     assert len(payload["candidates"]) == 4

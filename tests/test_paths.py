@@ -24,9 +24,8 @@ from winentropy.paths import (ACCURATE_POLICY, CHUNK_STEPS, PathEnsemble,
                               panel_steps, path_rng,
                               piecewise_constant_ensemble, set_max_workers)
 from winentropy.multidim import simulate_simplex_wf
-from winentropy.wright_fisher import (p_moment_estimate, sigma_martingale_check,
-                                      simulate_generic_sde, simulate_scaled_wf,
-                                      simulate_standard_wf)
+from winentropy.wright_fisher import (sigma_martingale_check, simulate_generic_sde,
+                                      simulate_scaled_wf, simulate_standard_wf)
 
 
 def teardown_function(_):
@@ -179,16 +178,6 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         PathEnsemble(times[::-1], 1, 0, "s", 0.5, 0.0, 0.0,
                      states=np.zeros((1, 5)), step_variance=np.zeros((1, 4)))
-
-
-def test_sample_path_accessor():
-    ens = simulate_scaled_wf(0.5, eps=0.1, n_paths=5, seed=7)
-    p = ens.path(3)
-    assert p.times is ens.times or np.array_equal(p.times, ens.times)
-    assert p.states.shape == (ens.n_times,)
-    assert p.step_variance.shape == (ens.n_steps,)
-    with pytest.raises(IndexError):
-        ens.path(5)
 
 
 def test_lazy_blocks_match_materialized():
@@ -579,8 +568,7 @@ def _all_reductions(ens):
     out["estimates"] = [f(ens, 0.4).value for f in (
         reciprocal_entropy_estimate, specific_entropy_estimate,
         entropy_log_moment_estimate)]
-    out["estimates"] += [p_divergence_estimate(ens, 3.0, 0.4).value,
-                         p_moment_estimate(ens, 1.5, 0.4).value]
+    out["estimates"].append(p_divergence_estimate(ens, 3.0, 0.4).value)
     return out
 
 

@@ -7,13 +7,11 @@ from scipy import special
 import winentropy as we
 from winentropy import paths, wright_fisher
 from winentropy.paths import NumericalError, StepPolicy
-from winentropy.wright_fisher import (jacobi_p11, moment_series_bound,
-                                      density_truncation_terms,
-                                      p_moment_estimate, reciprocity_check,
-                                      sigma_martingale_check,
+from winentropy.entropy import p_divergence_estimate
+from winentropy.wright_fisher import (jacobi_p11, density_truncation_terms,
+                                      reciprocity_check, sigma_martingale_check,
                                       simulate_generic_sde, simulate_scaled_wf,
-                                      simulate_standard_wf, time_change_map,
-                                      transition_density,
+                                      simulate_standard_wf, transition_density,
                                       transition_density_mass)
 
 FAST = StepPolicy(base_dt=2e-3)
@@ -88,18 +86,11 @@ def test_simulator_validation():
         simulate_scaled_wf(0.5, eps=0.1, n_paths=2, seed=-1)
 
 
-def test_time_change_map():
-    assert time_change_map(0.0) == 0.0
-    assert time_change_map(math.log(2.0)) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        time_change_map(-0.1)
-
-
 def test_time_change_conjugation_moments():
-    # scaled paths sampled at s(t) share marginal moments with standard
-    # paths at t
+    # scaled paths sampled at s(t) = 1 - exp(-t) share marginal moments
+    # with standard paths at t
     taus = [0.25, 0.5, 1.0]
-    s_times = [time_change_map(t) for t in taus]
+    s_times = [-math.expm1(-t) for t in taus]
     scaled = simulate_scaled_wf(0.5, eps=1.0 - s_times[-1] - 1e-4,
                                 n_paths=4000, seed=7,
                                 policy=StepPolicy(base_dt=1e-3)).materialize()
@@ -135,11 +126,12 @@ def test_sigma_martingale_zero_start():
 
 
 def test_p_moment_estimate_q1():
+    # E int S^q dt is the p-divergence at p = 2q
     ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=4000, seed=11, policy=FAST)
-    est = p_moment_estimate(ens, 1.0)
+    est = p_divergence_estimate(ens, 2.0)
     assert abs(est.value - 0.25 * (1 - 1e-2)) <= 3.0 * est.std_error + 2e-3
     zero = simulate_scaled_wf(0.0, eps=1e-2, n_paths=8, seed=12, policy=FAST)
-    assert p_moment_estimate(zero, 1.5).value == 0.0
+    assert p_divergence_estimate(zero, 3.0).value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +206,6 @@ def test_density_truncation_rule():
         transition_density(0.5, 0.5, 1.0)
 
 
-def test_moment_series_bound_values():
-    assert moment_series_bound(1.0, 1) == pytest.approx(6.0 * math.exp(-2.0),
-                                                        abs=1e-12)
-    # large t: first term dominates
-    assert moment_series_bound(5.0, 30) == pytest.approx(6.0 * math.exp(-10.0),
-                                                         rel=1e-6)
-    with pytest.raises(ValueError):
-        moment_series_bound(0.0, 3)
-
-
-def test_moment_series_bound_dominates_mc():
-    ens = simulate_standard_wf(0.5, 2.0, 1e-3, n_paths=4000,
-                               seed=13).materialize()
-    for t in (0.5, 1.0, 2.0):
-        k = int(np.argmin(np.abs(ens.times - t)))
-        g = np.sqrt(ens._states[:, k] * (1.0 - ens._states[:, k]))
-        se = g.std(ddof=1) / math.sqrt(ens.n_paths)
-        assert g.mean() <= moment_series_bound(t, 30) + 3.0 * se
-
-
 # ---------------------------------------------------------------------------
 # generic SDE and reciprocity
 # ---------------------------------------------------------------------------
@@ -242,7 +214,7 @@ def test_generic_sde_brownian_quadratic_variation():
     ens = simulate_generic_sde(lambda x: np.ones_like(x), 0.0, 1.0, 1e-2,
                                n_paths=16, seed=14, sigma_min=1.0,
                                sigma_max=1.0).materialize()
-    qv = (ens._step_variance * ens.dts).sum(axis=1)
+    qv = (ens._step_variance * np.diff(ens.times)).sum(axis=1)
     assert np.allclose(qv, 1.0, atol=1e-12)
 
 
@@ -253,7 +225,7 @@ def test_generic_sde_records_variance_exactly():
     expect = sig(ens._states[:, :-1]) ** 2
     assert np.array_equal(ens._step_variance, expect)
     # quadratic variation of every path exceeds 1 by the horizon rule
-    qv = (ens._step_variance * ens.dts).sum(axis=1)
+    qv = (ens._step_variance * np.diff(ens.times)).sum(axis=1)
     assert np.all(qv >= 1.0)
 
 
