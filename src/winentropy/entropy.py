@@ -131,7 +131,9 @@ class _StepSums:
         sv, acc = step_variance[:k1 - k0], self.acc
         cols = np.flatnonzero(sv.any(axis=0)) if self.skip_zeros else None
         if cols is not None and len(cols) < acc.shape[1]:
-            sv, acc = sv[:, cols], acc[:, cols]
+            # take, not sv[:, cols]: that gather is Fortran-ordered, and
+            # every integrand and add below would then mix two layouts
+            sv, acc = sv.take(cols, axis=1), acc.take(cols, axis=1)
         contrib = np.empty((k1 - k0,) + acc.shape)
         for i, f in enumerate(self.fs):
             np.multiply(f(sv), self.w[k0:k1, None], out=contrib[:, i])

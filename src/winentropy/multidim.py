@@ -43,11 +43,10 @@ def _check_symmetric(m, name="matrix"):
 
 
 def _psd_eigh(m, name="matrix"):
-    """The symmetrized matrix and its eigenvalues, small negative ones clamped to 0."""
+    """The symmetrized matrix and its eigenvalues, those in [-EIG_NEG_TOL * max, 0) set to 0."""
     a = _check_symmetric(m, name)
     w = np.linalg.eigh(a)[0]     # not eigvalsh, which rounds differently
-    scale = max(1.0, float(np.abs(w).max()))
-    if w.min() < -EIG_NEG_TOL * scale:
+    if w.min() < -EIG_NEG_TOL * w.max():
         raise ValueError(f"{name} is not positive semidefinite "
                          f"(min eigenvalue {w.min():.3e})")
     return a, np.maximum(w, 0.0)

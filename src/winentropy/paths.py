@@ -27,6 +27,7 @@ to reduce_paths.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -74,12 +75,36 @@ def get_max_workers() -> int:
         return 1
 
 
+@functools.cache
+def _philox_key_type():
+    """A seed sequence that hands Philox a given key: Philox(key=k) would first gather OS entropy.
+
+    Built on first use, so that importing the package does not load
+    numpy.random.  The generator keeps its seed sequence, so this one
+    lets go of the key once it has handed it over.
+    """
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            key, self.key = self.key, None
+            return key
+
+    return PhiloxKey
+
+
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based RNG stream for one path, keyed by (seed, index)."""
+    """Counter-based RNG stream for one path, keyed by (seed, index).
+
+    The same stream as Generator(Philox(key=[master_seed, path_index])).
+    """
     if not 0 <= master_seed < (1 << 64):
         raise ValueError("seed must fit in 64 bits")
     key = np.array([master_seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
 
 
 def _one_shot_streams(master_seed: int, lo: int, hi: int):

@@ -133,6 +133,7 @@ def _wf_step(times, scaled):
         alive = (x > lo_edge) & (x < hi_edge)
         x[~alive] = np.round(x[~alive])
         abst[~alive] = times[0]
+        n_dead = np.count_nonzero(~alive)
         tmp = np.empty(len(x))
         edge = np.empty(len(x), dtype=bool)
         hit = np.empty(len(x), dtype=bool)
@@ -140,6 +141,7 @@ def _wf_step(times, scaled):
         def step(k, x, xn, var, zk):
             # x stays in [0, 1], so x(1-x) >= 0, and it is exactly 0 on
             # absorbed paths, which therefore never move again
+            nonlocal n_dead
             np.subtract(1.0, x, out=var)
             var *= x
             if denom is not None:
@@ -148,15 +150,18 @@ def _wf_step(times, scaled):
             np.sqrt(tmp, out=tmp)
             np.multiply(tmp, zk, out=tmp)
             np.add(x, tmp, out=xn)
-            np.clip(xn, 0.0, 1.0, out=xn)
+            # only a path that lands on an edge can leave [0, 1], and
+            # every absorbed path sits on one, so more edge entries than
+            # absorbed paths means a live path hit
             np.less_equal(xn, lo_edge, out=edge)
             np.greater_equal(xn, hi_edge, out=hit)
             np.logical_or(edge, hit, out=edge)
-            np.logical_and(edge, alive, out=hit)
-            if hit.any():
-                xn[hit] = np.round(xn[hit])
+            if np.count_nonzero(edge) > n_dead:
+                np.logical_and(edge, alive, out=hit)
+                xn[hit] = np.round(np.clip(xn[hit], 0.0, 1.0))
                 abst[hit] = times[k + 1]
                 alive[hit] = False
+                n_dead += np.count_nonzero(hit)
 
         return step
 

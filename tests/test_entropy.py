@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from winentropy.entropy import (LOG_MOMENT, P_WASSERSTEIN, RECIPROCAL, SPECIFIC,
-                                DeterministicVolatility, deterministic_divergence,
+                                DeterministicVolatility, _StepSums, deterministic_divergence,
                                 entropy_log_moment_estimate, integrand_reciprocal,
                                 integrand_specific, inverse_t_log_cubed,
                                 p_divergence_estimate, p_quotient_profile,
@@ -174,6 +174,69 @@ def test_quotient_profile_monotone_and_matches_single():
     assert vals[0] > vals[1] > vals[2] > lm.value
     single = p_quotient_profile(ens, [2.05])[0][0][1]
     assert rows[1][1] == pytest.approx(single, rel=1e-13)
+
+
+def _chunked_variances(rng):
+    """(n_steps, n_paths) time-major variances; paths absorbed at and inside chunk edges."""
+    sv = rng.uniform(0.01, 2.5, (70, 9))
+    sv[40:, 0] = 0.0          # absorbed at a chunk edge
+    sv[23:, 1] = 0.0          # absorbed inside a chunk
+    sv[47:, 2] = -0.0
+    sv[:, 3] = 0.0            # absorbed from the start
+    sv[5:9, 4] = 0.0          # zero for a stretch, then live again
+    sv[61:, 5] = 0.0
+    return sv
+
+
+def _time_order_sums(fs, w, sv):
+    """Per path and f, sum of f(S_k) * w_k over the steps with w_k > 0, added in time order."""
+    out = np.zeros((sv.shape[1], len(fs)))
+    for i in range(sv.shape[1]):
+        col = np.ascontiguousarray(sv[:, i])
+        for j, f in enumerate(fs):
+            acc = 0.0
+            for c, wk in zip(f(col), w):
+                if wk > 0:
+                    acc += c * wk
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("with_f0", [False, True])
+def test_step_sums_on_partly_live_chunks_are_time_order_sums(with_f0):
+    # with an integrand that is not 0 at 0 no column is skipped
+    rng = np.random.default_rng(31)
+    sv = _chunked_variances(rng)
+    w = rng.uniform(0.001, 0.02, len(sv))
+    w[66:] = 0.0              # steps past the cutoff
+    fs = [xlogx, lambda s: s, lambda s: np.power(s, 1.05)]
+    if with_f0:
+        fs.append(integrand_reciprocal)
+    want = _time_order_sums(fs, w, sv)
+    for lengths in ([70], [8] * 9, [3, 17, 20, 5, 25], [1] * 70):
+        sums = _StepSums(fs, w, sv.shape[1])
+        assert sums.skip_zeros is not with_f0
+        k0 = 0
+        for m in lengths:
+            sums.chunk(k0, None, np.ascontiguousarray(sv[k0:k0 + m]))
+            k0 += m
+        got = sums.result(None)
+        assert got.tobytes() == want.tobytes(), lengths
+
+
+def test_step_sums_hand_integrands_c_ordered_live_columns():
+    seen = []
+
+    def f(s):
+        seen.append((s.shape, s.flags.c_contiguous))
+        return s
+
+    sv = _chunked_variances(np.random.default_rng(32))[16:32]
+    sums = _StepSums([f], np.full(32, 0.01), sv.shape[1])
+    seen.clear()
+    sums.chunk(16, None, sv)
+    # the chunk's live columns: all but path 3, absorbed from the start
+    assert seen == [((16, 8), True)]
 
 
 def test_quotient_requires_p_above_two():

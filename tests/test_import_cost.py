@@ -52,6 +52,14 @@ def test_scipy_loads_only_inside_the_functions_that_use_it(tmp_path):
                                                           "log_moment", 1e-3)
 
 
+def test_numpy_random_loads_with_the_first_stream():
+    code = ("import sys, winentropy; seen = ['numpy.random' in sys.modules]; "
+            "winentropy.paths.path_rng(0, 0); print(seen + ['numpy.random' in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["[False,", "True]"]
+
+
 def test_every_annotation_resolves():
     # annotations are strings under `from __future__ import annotations`;
     # a name used in one but never imported fails only when it is resolved

@@ -95,6 +95,17 @@ def test_quantum_entropy_psd_m_allowed():
         quantum_entropy_rate(np.eye(2), m)   # singular reference
 
 
+def test_quantum_entropy_psd_check_is_relative_to_the_largest_eigenvalue():
+    # eigenvalues 1e-11 and -5e-12: not PSD, however small
+    with pytest.raises(ValueError):
+        quantum_entropy_rate(1e-11 * np.diag([1.0, -0.5]), np.eye(2))
+    m = random_spd(np.random.default_rng(3), 3)
+    lam = np.linalg.eigvalsh(1e-11 * m)
+    want = float(np.sum(lam * np.log(lam))) + 3.0 - float(lam.sum())
+    assert quantum_entropy_rate(1e-11 * m, np.eye(3)) == pytest.approx(want, abs=1e-14)
+    assert quantum_entropy_rate(np.zeros((2, 2)), np.eye(2)) == 2.0
+
+
 # ---------------------------------------------------------------------------
 # simplex simulation
 # ---------------------------------------------------------------------------

@@ -64,6 +64,16 @@ def test_path_rng_streams_are_stable_and_distinct():
     assert not np.array_equal(a1, c)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 1 << 63, (1 << 64) - 1])
+@pytest.mark.parametrize("index", [0, 1, 1 << 32, (1 << 64) - 1])
+def test_path_rng_is_the_keyed_philox_stream(seed, index):
+    got = path_rng(seed, index)
+    want = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    for _ in range(2):      # fresh, and after 1,000 normals
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert got.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
+
+
 def test_panel_draws_continue_each_stream():
     whole = np.stack([path_rng(9, i).standard_normal(700) for i in range(3)])
     streams = [path_rng(9, i) for i in range(3)]

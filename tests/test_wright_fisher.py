@@ -50,6 +50,70 @@ def test_scaled_wf_absorption_is_permanent():
         assert np.all(ens._step_variance[i, k:] == 0.0)
 
 
+def _clipping_wf_step(times, scaled):
+    """The WF step as it was with a full-array clip, kept as the reference."""
+    dts = np.diff(times)
+    denom = 1.0 - times[:-1] if scaled else None
+    lo_edge, hi_edge = wright_fisher.DEFAULT_ABSORB_TOL, 1.0 - wright_fisher.DEFAULT_ABSORB_TOL
+
+    def new_step(x, abst):
+        alive = (x > lo_edge) & (x < hi_edge)
+        x[~alive] = np.round(x[~alive])
+        abst[~alive] = times[0]
+        tmp = np.empty(len(x))
+        edge = np.empty(len(x), dtype=bool)
+        hit = np.empty(len(x), dtype=bool)
+
+        def step(k, x, xn, var, zk):
+            np.subtract(1.0, x, out=var)
+            var *= x
+            if denom is not None:
+                var /= denom[k]
+            np.multiply(var, dts[k], out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.multiply(tmp, zk, out=tmp)
+            np.add(x, tmp, out=xn)
+            np.clip(xn, 0.0, 1.0, out=xn)
+            np.less_equal(xn, lo_edge, out=edge)
+            np.greater_equal(xn, hi_edge, out=hit)
+            np.logical_or(edge, hit, out=edge)
+            np.logical_and(edge, alive, out=hit)
+            if hit.any():
+                xn[hit] = np.round(xn[hit])
+                abst[hit] = times[k + 1]
+                alive[hit] = False
+
+        return step
+
+    return new_step
+
+
+@pytest.mark.parametrize("scaled", [True, False])
+@pytest.mark.parametrize("x0", [0.0, -0.0, 1.0, 1e-7, 0.5])
+def test_wf_step_matches_the_clipping_step(x0, scaled):
+    # coarse steps, so that increments overshoot [0, 1] on both sides
+    times = np.linspace(0.0, 0.95, 6) if scaled else np.linspace(0.0, 6.0, 7)
+    seed, n = 41, 400
+
+    def run(new_step):
+        ens = we.PathEnsemble(times, n, seed, "wf", x0, 0.0, 0.0, recipe=wright_fisher._EulerRecipe(
+            times, x0, seed, new_step(times, scaled))).materialize()
+        return ens._states, ens._step_variance, ens._absorption_time
+
+    got, want = run(wright_fisher._wf_step), run(_clipping_wf_step)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+    if x0 == 0.5:
+        states, var, _ = want
+        z = np.stack([paths.path_rng(seed, i).standard_normal(len(times) - 1)
+                      for i in range(n)])
+        raw = states[:, :-1] + np.sqrt(var * np.diff(times)) * z
+        assert (raw < 0.0).any() and (raw > 1.0).any()
+    if np.signbit(x0):      # -0.0 keeps its sign on some steps
+        assert np.signbit(want[0]).any()
+
+
 def test_scaled_wf_absorbed_fraction_grows_as_eps_shrinks():
     fracs = []
     for eps in (1e-1, 1e-2, 1e-3):
