@@ -399,8 +399,7 @@ class _CostToUnitQv:
     def chunk(self, k0, states, step_variance):
         qv = np.vstack([self.q, step_variance])
         qv[1:] *= self.dt
-        for j in range(len(step_variance)):         # <X> after each step, in time order
-            qv[j + 1] += qv[j]
+        np.cumsum(qv, axis=0, out=qv)               # <X> after each step, in time order
         reached = qv[1:] >= 1.0
         cross = np.flatnonzero(self.running & reached.any(0))
         r = reached[:, cross].argmax(0)             # the step at which each one crosses

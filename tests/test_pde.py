@@ -31,6 +31,28 @@ def test_stationary_fine_grid_accuracy():
     assert abs(g.values[500] - stationary_profile(0.5)) <= 1e-4
 
 
+def _stationary_by_lapack(n):
+    # the banded LAPACK solve the Green's-function sum replaced, kept as the reference
+    from scipy.linalg import solve_banded
+    x = np.linspace(0.0, 1.0, n + 1)
+    xi = x[1:-1]
+    rhs = (-(np.log(xi * (1.0 - xi))) - 1.0) * (x[1] - x[0]) ** 2
+    ab = np.repeat([[1.0], [-2.0], [1.0]], n - 1, axis=1)   # upper, diagonal, lower
+    return np.concatenate(([0.0], solve_banded((1, 1), ab, rhs), [0.0]))
+
+
+@pytest.mark.parametrize("n, tol", [(8, 1e-13), (64, 1e-13), (1000, 1e-13), (100_000, 1e-10)])
+def test_stationary_matches_the_banded_solve(n, tol):
+    g = solve_stationary(n)
+    ref = _stationary_by_lapack(n)
+    assert np.abs(g.values - ref).max() <= tol
+    assert g.values[0] == g.values[-1] == 0.0
+    assert not np.signbit(g.values[[0, -1]]).any()
+    if n == 100_000:   # no less accurate than the banded solve
+        exact = stationary_profile(g.x_grid)
+        assert np.abs(g.values - exact).max() <= np.abs(ref - exact).max()
+
+
 def test_stationary_symmetry_exact():
     g = solve_stationary(256)
     assert np.allclose(g.values, g.values[::-1], atol=1e-13)
