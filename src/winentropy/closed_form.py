@@ -74,7 +74,8 @@ def _sq_log_sq(x):
 
 
 def _profile(a):
-    return -(0.25 * _sq_log_sq(a) + 0.25 * _sq_log_sq(1.0 - a) + a * (1.0 - a))
+    # 0.0 - y is -y bit for bit, but +0.0, not -0.0, where y = +0.0 (the ends)
+    return 0.0 - (0.25 * _sq_log_sq(a) + 0.25 * _sq_log_sq(1.0 - a) + a * (1.0 - a))
 
 
 def stationary_profile(x):

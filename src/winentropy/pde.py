@@ -20,7 +20,9 @@ One DP step at an interior node minimizes over the control S in
 which equals V(t+dt,x) + dt*( S log S + S D_xx V(t+dt,x) )/2.  The
 interior minimizer is S = exp(-D_xx V - 1), clamped to the CFL cap
 S_max = dx^2/dt that keeps every stencil weight nonnegative (hence the
-scheme monotone).  Boundary rows stay pinned at zero.
+scheme monotone).  The step writes the cost as S (log S + D_xx V), with
+log S the clamped exponent, so an S that underflows to 0 costs 0 with no
+log taken.  Boundary rows stay pinned at zero.
 """
 
 from __future__ import annotations
@@ -145,8 +147,8 @@ class DpSolution:
 
 
 def dp_workspace(n: int) -> tuple[np.ndarray, ...]:
-    """Rows (v, sigma, D, tmp) that dp_step fills for a grid of n nodes."""
-    return np.empty(n), np.empty(n - 2), np.empty(n - 2), np.empty(n - 2)
+    """Rows (v, sigma, D, tmp) that dp_step fills on n nodes; v's ends stay 0."""
+    return np.zeros(n), np.empty(n - 2), np.empty(n - 2), np.empty(n - 2)
 
 
 def dp_step(v_next: np.ndarray, dx: float, dt: float, sigma_max: float, *,
@@ -161,7 +163,6 @@ def dp_step(v_next: np.ndarray, dx: float, dt: float, sigma_max: float, *,
     if sigma_max * dt > dx * dx * (1.0 + 1e-9):
         raise ValueError("CFL violated: sigma_max * dt must not exceed dx^2")
     v, sig, D, tmp = dp_workspace(len(v_next)) if work is None else work
-    vi = v[1:-1]
     # D = (v[x+dx] - 2 v[x] + v[x-dx]) / dx^2, one rounding per operation
     np.multiply(v_next[1:-1], 2.0, out=D)
     np.subtract(v_next[2:], D, out=D)
@@ -169,24 +170,16 @@ def dp_step(v_next: np.ndarray, dx: float, dt: float, sigma_max: float, *,
     D /= dx * dx
     np.subtract(-1.0, D, out=tmp)                  # arg = -D - 1
     # arg @ arg < 4.8e5 bounds |arg| by 693, so no check is due (notes/decisions.md §14)
-    exact = not (tmp @ tmp < 4.8e5 and math.log(sigma_max) > -700.0)
-    if exact and tmp.max() > 700.0:
+    if not tmp @ tmp < 4.8e5 and tmp.max() > 700.0:
         warnings.warn("exp overflow in the control formula; clamped to the cap")
-    np.minimum(tmp, math.log(sigma_max), out=sig)
-    np.exp(sig, out=sig)
-    if exact and sig.min() == 0.0:                 # exp(arg) is 0; 0 log 0 = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(sig, out=tmp)
-            tmp *= sig
-        tmp[sig == 0.0] = 0.0
-    else:
-        np.log(sig, out=tmp)
-        tmp *= sig
-    np.multiply(sig, D, out=vi)
-    tmp += vi
-    tmp *= 0.5 * dt                                # dt (S log S + S D) / 2, exactly
-    np.add(v_next[1:-1], tmp, out=vi)
-    v[0] = v[-1] = 0.0
+    np.minimum(tmp, math.log(sigma_max), out=tmp)  # log S
+    np.exp(tmp, out=sig)
+    # S log S + S D = S (log S + D), with log S the clamp itself; an S that
+    # underflows to 0 costs (log S + D) * 0 = 0 (notes/decisions.md §18)
+    tmp += D
+    tmp *= sig
+    tmp *= 0.5 * dt
+    np.add(v_next[1:-1], tmp, out=v[1:-1])
     return v, sig
 
 

@@ -94,7 +94,9 @@ def test_reciprocity_command(tmp_path):
 def test_stationary_and_residual_and_dp(tmp_path):
     out = tmp_path / "st.csv"
     assert main(["stationary-solve", "--nx", "64", "--out", str(out)]) == 0
-    assert out.read_text().startswith("x,value,closed_form")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,value,closed_form"
+    assert (lines[1], lines[-1]) == ("0,0,0", "1,0,0")     # no -0 in either column
 
     out2 = tmp_path / "res.csv"
     assert main(["hjb-residual", "--nx", "16", "--nt", "16",
@@ -384,8 +386,9 @@ _GOLDEN = {
     "hjb-residual": "03f04ed4006df726da3309b7db273c23445fd38f232199a353f7f26be41d241b",
     # re-pinned when the banded LAPACK solve gave way to the discrete
     # Green's-function sum, a change in the last digits (notes/decisions.md
-    # section 17)
-    "stationary-solve": "a39c9d01e26733b0e6ee25cd1e60a42b5e794a18e7091eb54e022dd8ac49125b",
+    # section 17), and again when the closed_form column's end rows read 0
+    # where they read -0 (notes/decisions.md section 18)
+    "stationary-solve": "ec0ee250470ab0bcfad85eb682f9e6df6af59265d216ca14845898d3262a5689",
     "dp-solve": "923e8dacaf20b79ea14b5d918bd8d736117f06bf4a7a8c6eb23cb45bcf94982e",
     "dp-refine": "cc0a8d7420ff005b5c414dd71f645afea0329f2467226506d25ba0bee3f9f3af",
     "simulate": "b402c98f47f08590669aae8d40b8d4f9b514bffae304a4a9ff712505591f3452",

@@ -15,6 +15,9 @@ VBAR_HALF_HALF = 0.009930192709979482  # f(1/2) - log(1/2)/8
 def test_stationary_profile_values():
     assert stationary_profile(0.0) == 0.0
     assert stationary_profile(1.0) == 0.0
+    # +0.0 at the ends, so a CSV of f prints 0 there, not -0
+    assert not np.signbit([stationary_profile(0.0), stationary_profile(1.0),
+                           *stationary_profile(np.array([0.0, 1.0]))]).any()
     assert stationary_profile(0.5) == pytest.approx(F_HALF, abs=1e-12)
 
 

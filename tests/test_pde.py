@@ -128,11 +128,13 @@ def test_dp_step_exp_underflow_costs_zero():
 
 
 def _dp_step_formula(v_next, dx, dt, sigma_max):
-    # the step written out as expressions, without workspaces
+    # the step written out as expressions, without workspaces; the running
+    # cost S log S + S D is S (log S + D), with log S the clamped argument
     D = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / (dx * dx)
-    sig = np.exp(np.minimum(-D - 1.0, math.log(sigma_max)))
+    log_sig = np.minimum(-D - 1.0, math.log(sigma_max))
+    sig = np.exp(log_sig)
     v = np.zeros_like(v_next)
-    v[1:-1] = v_next[1:-1] + dt * (0.5 * xlogx(sig) + 0.5 * sig * D)
+    v[1:-1] = v_next[1:-1] + (log_sig + D) * sig * (0.5 * dt)
     return v, sig
 
 
@@ -168,6 +170,15 @@ def _kink_row(n, dx, j, arg):
     return v
 
 
+def _range_rows(n, dx):
+    zigzag = 27.8 * dx * dx * (-1.0) ** np.arange(n)    # args 110.2 and -112.2
+    nan_row = np.linspace(0.0, 0.3, n)
+    nan_row[7] = np.nan
+    return {"699.9": _kink_row(n, dx, 12, 699.9), "700.1": _kink_row(n, dx, 12, 700.1),
+            "sum": zigzag, "underflow": _kink_row(n, dx, 20, -745.5), "nan": nan_row,
+            "plain": 0.1 * np.sin(np.pi * np.linspace(0.0, 1.0, n))}
+
+
 def test_dp_step_range_check_branches():
     # rows on both sides of the overflow warning (arg > 700), a row whose
     # sum of squared arguments passes 4.8e5 with every |arg| < 700, an
@@ -177,12 +188,7 @@ def test_dp_step_range_check_branches():
     dx = 1.0 / (n - 1)
     dt = dx * dx / 10.0
     smax = dx * dx / dt
-    zigzag = 27.8 * dx * dx * (-1.0) ** np.arange(n)    # args 110.2 and -112.2
-    nan_row = np.linspace(0.0, 0.3, n)
-    nan_row[7] = np.nan
-    rows = {"699.9": _kink_row(n, dx, 12, 699.9), "700.1": _kink_row(n, dx, 12, 700.1),
-            "sum": zigzag, "underflow": _kink_row(n, dx, 20, -745.5), "nan": nan_row,
-            "plain": 0.1 * np.sin(np.pi * np.linspace(0.0, 1.0, n))}
+    rows = _range_rows(n, dx)
     arg = {k: -(v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx) - 1.0 for k, v in rows.items()}
     assert 699.8 < arg["699.9"].max() < 700.0 < arg["700.1"].max() < 700.2
     assert 4.8e5 < arg["sum"] @ arg["sum"] < 4.9e5 and np.abs(arg["sum"]).max() < 700.0
@@ -206,6 +212,39 @@ def test_dp_step_range_check_branches():
             assert np.flatnonzero(np.isnan(v)).tolist() == ([6, 7, 8] if name == "nan" else [])
 
 
+@pytest.mark.filterwarnings("ignore:exp overflow in the control formula")
+def test_dp_step_matches_the_xlogx_form():
+    # the step before notes/decisions.md §18 took log S back from S:
+    # v_next + dt (xlogx(S) + S D) / 2.  From the same row S keeps its bits,
+    # and v stays within 8u (dt/2 S (|log S| + |D| + 1) + |v|) of it, u = 2^-53
+    n = 41
+    dx = 1.0 / (n - 1)
+    dt = dx * dx / 10.0
+    smax = dx * dx / dt
+    rng = np.random.default_rng(23)
+    rows = list(_range_rows(n, dx).values())
+    for scale in (1e-4, 1e-3, 1e-2, 1.0):     # from all free to mostly capped
+        for _ in range(50):
+            v0 = scale * rng.normal(size=n)
+            v0[0] = v0[-1] = 0.0
+            rows.append(v0)
+    moved = 0
+    for v_next in rows:
+        D = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / (dx * dx)
+        log_sig = np.minimum(-D - 1.0, math.log(smax))
+        old_sig = np.exp(log_sig)
+        old = v_next[1:-1] + dt * (0.5 * xlogx(old_sig) + 0.5 * old_sig * D)
+        v, sig = dp_step(v_next, dx, dt, smax)
+        nan = np.isnan(old)     # a NaN's sign bit is not meaningful
+        assert np.array_equal(np.isnan(sig), np.isnan(old_sig))
+        assert sig[~nan].tobytes() == old_sig[~nan].tobytes()
+        assert np.array_equal(np.isnan(v[1:-1]), nan)
+        bound = 2.0**-50 * (0.5 * dt * sig * (np.abs(log_sig) + np.abs(D) + 1.0) + np.abs(old))
+        assert np.all(np.abs(v[1:-1] - old)[~nan] <= bound[~nan])
+        moved += int(np.count_nonzero(v[1:-1][~nan] != old[~nan]))
+    assert moved > 0     # the bound is exercised, not met by equal bits
+
+
 # ---------------------------------------------------------------------------
 # full backward solves
 # ---------------------------------------------------------------------------
@@ -217,30 +256,31 @@ def _sha(a):
 @pytest.mark.parametrize("spec, digests", [
     (DpSpec.balanced(16, 5e-2),
      ("4354007a567bfaf744ce214ccb791cd0b31b7979995451482deb00ad5a63c47c",
-      "a5cbe5cda121e36dde6fb0cccfeac0ebff35089ee196ef5bb39014db47d6ac48",
+      "bf498fa9d2fb37d63657fd37e1c314400769ca63063b13cba42da49571eb69e8",
       "29d58c8ad6001e94ffc871e0498e9f9ee9d7f3a0a97a0cc1d85ad4084a66f676")),
     (DpSpec(n_x=12, n_t=700, eps=2e-2, penalty_K=3.0, t0=0.1),
-     ("8f4ccefddf19c74cdb01804c600f6ae5ed1b2a83dd2c344691034b5c26580f10",
-      "00dd51f3719f9f8da641e67dc9bc4aeb20850462458d9c4f8cca2ceb2da51c43",
+     ("49e566bb93d16039870e746810c1055d9e96b34aca4eb861ab8849a3c8f48f66",
+      "ea87c7611f8263044f9d0b0e58409f0c9a15a008c88baf2150565a7769cf1f97",
       "ac7f170bd35dc75702730eb37ecdcc60e59af06236ad6223aeccffce97ae5e32")),
     # the three levels of default_refinement_specs(3, 10, 1e-2), which the
     # pde-routes benchmark solves
     (DpSpec.balanced(10, 1e-2),
-     ("e3d368dc96a464ba6bb63af5f21dcc0d1434757d01e336391c00c539a94203e5",
-      "feab7c2c578ea0204066757f623a50be57bfe526b36c2b320aa8c456f1c2902f",
+     ("ac481c2843c84125c4276ec7e2b4c733fcf235ac4bb7c929fbfde18e449bed0d",
+      "c368d60623decff4f958b52653f7ffa8291c39c3e968b3b3388389a3f4dbd909",
       "1e269882f46372639c8bd806d9563a8a71c6fa7dc5bc870f3993c0cfda4d3f65")),
     (DpSpec.balanced(20, 1e-2),
-     ("0c026ceaa2f96fc8b317ceedc990d5cd4125cbd40faf6ecdcd4f9aa013de1acb",
-      "db9fa2bc17e38b5bd753824a6f50ea4b3522faf2d2cf995a1542827257fb5d3f",
+     ("37d4a286e3948eb94954b776f3cdc0ea788f019dd0da4268ba75e2dbb6b2b4eb",
+      "075772fff858da33e676f621a3f386079e2336e1b18a227e957b0389339631e6",
       "1d5e0f39e99930594766da4b4de8a3f859e680d10ebe0cd2c70ba76fe2684c8f")),
     (DpSpec.balanced(40, 1e-2),
-     ("fc004f0b381877188145632df20c474d24f1d7140c3cc8606eed23bea88dc6bd",
-      "9d330458be3de771ae99ac90b131da4d0800fca2756694128a4a7531172b0290",
+     ("d819c4d1df033b7d1f0b0fca24c84e5b9f66f5b216467292f54968e534439764",
+      "34ae6819b63d07940e3d00dcecf6aaff5b4f2c633fb093e67b379056f3b0f7b5",
       "197e3b37995c7cc408371d2cdfe4925a62b37d0c86c8235c881d2411122e96d1")),
 ])
 def test_dp_solution_matches_golden(spec, digests):
     # SHA-256 of the value row, the policy surface and the policy times,
-    # recorded with the expression-style step that preceded the in-place one
+    # re-recorded when the step took log S from its clamp (notes/decisions.md
+    # §18): 9 of the 15 digests moved in the last bits, no t-grid among them
     sol = solve_dp(spec)
     got = (_sha(sol.value.values), _sha(sol.policy.sigma), _sha(sol.policy.t_grid))
     assert got == digests
