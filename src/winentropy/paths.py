@@ -7,22 +7,22 @@ generator keyed by (master_seed, path_index), so the same seed
 reproduces the same ensemble bit for bit, no matter how the paths are
 partitioned into blocks or how many worker threads reduce them.
 
-An ensemble is stored one of two ways: as arrays (read from a file,
-built by from_arrays, or materialized, as the simplex WF returns it) or,
-as every scalar simulator returns it, as its recipe alone.  A reduction
-streams each block of paths through observers, time-major, one chunk of
-at most CHUNK_STEPS steps at a time: while a block is stepped, the
-recipe holds one panel of the block's normals (a whole number of chunks,
-about PANEL_ELEMENTS values) and one chunk of states and step variances,
-and an observer keeps only what it reduces to (per-path sums, snapshots
-at chosen grid nodes).  A counter-based stream gives the same normals
+An ensemble holds a recipe that streams each block of paths through
+observers, time-major, one chunk of at most CHUNK_STEPS steps at a time.
+A simulator's recipe steps the paths: while a block is stepped, it holds
+one panel of the block's normals (a whole number of chunks, about
+PANEL_ELEMENTS values) and one chunk of states and step variances, and
+an observer keeps only what it reduces to (per-path sums, snapshots at
+chosen grid nodes).  A counter-based stream gives the same normals
 however its draws are cut, so the panel width never changes a result.
 A path absorbed before a panel starts draws no normals in it, and a
 reduction skips a path's chunk whose variances are all 0, since an
-absorbed path's state and integrals no longer change.
+absorbed path's state and integrals no longer change.  Paths read from
+a file, built by from_arrays or materialized (as the simplex WF returns
+them) are held as arrays, whose recipe replays them in the same chunks.
 Full (paths, steps) arrays exist only where a caller asks for them:
-materialize, iter_blocks, path, the exporters and user functions given
-to reduce_paths.
+materialize, iter_blocks, the exporters and user functions given to
+reduce_paths.
 """
 
 from __future__ import annotations
@@ -178,22 +178,14 @@ class StepPolicy:
 ACCURATE_POLICY = StepPolicy(base_dt=1.25e-4, adaptive=True, shrink=0.01)
 
 
-@dataclass
-class _Block:
-    lo: int
-    hi: int
-    states: np.ndarray          # (bs, n_times) + x0's shape
-    step_variance: np.ndarray   # (bs, n_steps)
-    absorption_time: np.ndarray  # (bs,), NaN when never absorbed
-
-
 # Observers.  A block of paths reaches an observer as consecutive chunks
 # in time order: chunk(k0, states, step_variance) gets the states at grid
 # nodes k0..k0+T as a (T+1, bs) array and the variances of steps
 # k0..k0+T-1 as a (T, bs) array, both buffers the caller reuses.  chunk
 # may return True once it needs no later chunk: a recipe stops after the
 # chunk for which every observer did, and each sees every chunk up to it.
-# Then result(absorption_time) returns the block's rows, one per path.
+# Then result(absorption_time) returns the block's rows, one per path; an
+# absorption after the last node of the recipe's last chunk reads NaN.
 
 class Snapshots:
     """States at chosen grid nodes, then the absorption time: (bs, len(nodes)+1).
@@ -216,18 +208,6 @@ class Snapshots:
         return self.values
 
 
-class _Store:
-    """Copies every chunk into (bs, n_times) and (bs, n_steps) arrays."""
-
-    def __init__(self, states, step_variance):
-        self.states = states
-        self.step_variance = step_variance
-
-    def chunk(self, k0, states, step_variance):
-        self.states[:, k0:k0 + len(states)] = states.swapaxes(0, 1)
-        self.step_variance[:, k0:k0 + len(step_variance)] = step_variance.T
-
-
 def chunk_steps(bs: int, n_steps: int) -> int:
     """Steps per time-major chunk for a block of bs paths."""
     return max(1, min(CHUNK_STEPS, CHUNK_ELEMENTS // bs, n_steps))
@@ -239,33 +219,57 @@ def panel_steps(bs: int, n_steps: int) -> int:
     return min(n_steps, max(1, PANEL_ELEMENTS // (bs * t_chunk)) * t_chunk)
 
 
-def _feed_arrays(states, step_variance, observers) -> None:
-    """Hand a (bs, n_times) + x0's shape block to observers in time-major chunks."""
-    n_steps = step_variance.shape[1]
-    t_chunk = chunk_steps(states[:, 0].size, n_steps)
-    for k0 in range(0, n_steps, t_chunk):
-        k1 = min(k0 + t_chunk, n_steps)
-        st = np.ascontiguousarray(states[:, k0:k1 + 1].swapaxes(0, 1))
-        sv = np.ascontiguousarray(step_variance[:, k0:k1].T)
-        for obs in observers:
-            obs.chunk(k0, st, sv)
+class _Stored:
+    """Paths lo..hi-1 held as arrays, NaN absorption times where never absorbed.
+
+    states is (hi-lo, n_times) + x0's shape, step_variance (hi-lo, n_steps).
+    It is the block that iter_blocks and reduce_paths hand out; as an
+    observer (chunk) it copies a recipe's chunks into its arrays; as the
+    recipe of a stored ensemble (lo = 0, stream) it hands its rows to
+    observers in the recipe's chunks and keeps the recipe's stop rule.
+    """
+
+    def __init__(self, times, lo, hi, states, step_variance, absorption_time):
+        self.times, self.lo, self.hi = times, lo, hi
+        self.states = states
+        self.step_variance = step_variance
+        self.absorption_time = absorption_time
+
+    def rows(self, i, j) -> "_Stored":
+        """Its rows i..j-1, paths self.lo+i..self.lo+j-1, as views."""
+        return _Stored(self.times, self.lo + i, self.lo + j, self.states[i:j],
+                       self.step_variance[i:j], self.absorption_time[i:j])
+
+    def chunk(self, k0, states, step_variance):
+        self.states[:, k0:k0 + len(states)] = states.swapaxes(0, 1)
+        self.step_variance[:, k0:k0 + len(step_variance)] = step_variance.T
+
+    def stream(self, lo, hi, observers) -> np.ndarray:
+        n_steps = len(self.times) - 1
+        t_chunk = chunk_steps(self.states[lo:hi, 0].size, n_steps)
+        for k0 in range(0, n_steps, t_chunk):
+            k1 = min(k0 + t_chunk, n_steps)
+            st = np.ascontiguousarray(self.states[lo:hi, k0:k1 + 1].swapaxes(0, 1))
+            sv = np.ascontiguousarray(self.step_variance[lo:hi, k0:k1].T)
+            if all([obs.chunk(k0, st, sv) for obs in observers]):
+                break
+        # a recipe that stops at node k1 has seen no absorption after it
+        abst = self.absorption_time[lo:hi]
+        return np.where(abst > self.times[k1], np.nan, abst)
 
 
 class PathEnsemble:
     """A seeded collection of sample paths sharing one time grid.
 
-    It holds either arrays (states, step variances and absorption times:
-    from_arrays, from_binary, materialize) or a streaming recipe: an
-    object whose stream(lo, hi, observers) steps paths lo..hi-1, hands
-    them to the observers chunk by chunk and returns their absorption
-    times.  All reductions are computed per path and assembled in path
-    order, so results do not depend on block size, chunk length, storage
-    or thread count.
+    It holds a recipe, whose stream(lo, hi, observers) hands paths
+    lo..hi-1 to the observers chunk by chunk and returns their absorption
+    times: a simulator's stepping recipe, or the arrays (_Stored) that
+    from_arrays, from_binary and materialize hold.  All reductions are
+    computed per path and assembled in path order, so results do not
+    depend on block size, storage or thread count.
     """
 
-    def __init__(self, times, n_paths, master_seed, scheme, x0, t0, eps,
-                 states=None, step_variance=None, absorption_time=None,
-                 recipe=None):
+    def __init__(self, times, n_paths, master_seed, scheme, x0, t0, eps, recipe):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("times must be a 1-d grid with at least 2 nodes")
@@ -279,24 +283,7 @@ class PathEnsemble:
         self.x0 = x0
         self.t0 = float(t0)
         self.eps = float(eps)
-        self._states = None if states is None else np.asarray(states, dtype=float)
-        self._step_variance = (None if step_variance is None
-                               else np.asarray(step_variance, dtype=float))
-        if absorption_time is None:
-            self._absorption_time = None
-        else:
-            self._absorption_time = np.asarray(absorption_time, dtype=float)
         self._recipe = recipe
-        if self._states is None and self._recipe is None:
-            raise ValueError("ensemble needs either arrays or a recipe")
-        if self._states is not None:
-            if self._states.shape[:2] != (self.n_paths, self.n_times):
-                raise ValueError("states shape does not match grid")
-            if self._step_variance is None or \
-                    self._step_variance.shape != (self.n_paths, self.n_steps):
-                raise ValueError("step_variance shape does not match grid")
-            if self._absorption_time is None:
-                self._absorption_time = np.full(self.n_paths, np.nan)
 
     # -- basic geometry -------------------------------------------------
 
@@ -310,56 +297,55 @@ class PathEnsemble:
 
     @property
     def is_materialized(self) -> bool:
-        return self._states is not None
+        return isinstance(self._recipe, _Stored)
 
-    # (n_paths, n_times) + x0's shape and (n_paths,); reading either materializes
-    states = property(lambda self: self.materialize()._states)
-    absorption_time = property(lambda self: self.materialize()._absorption_time)
+    # (n_paths, n_times) + x0's shape, (n_paths, n_steps) and (n_paths,);
+    # reading any of them materializes
+    states = property(lambda self: self.materialize()._recipe.states)
+    step_variance = property(lambda self: self.materialize()._recipe.step_variance)
+    absorption_time = property(lambda self: self.materialize()._recipe.absorption_time)
 
     # -- block access ----------------------------------------------------
 
     def _default_block_size(self) -> int:
-        # a stored block (iter_blocks, _Store, the exporters) keeps its
-        # states and its step variances near or below 33M doubles each;
-        # a streamed block holds one normals panel whatever its size
+        # a block stored by iter_blocks (the exporters) keeps its states
+        # and its step variances near or below 33M doubles each; a
+        # streamed block holds one normals panel whatever its size
         cap = int(33_000_000 // max(1, self.n_steps))
         return max(256, min(DEFAULT_BLOCK_SIZE, cap))
 
-    def _ranges(self, block_size: Optional[int]) -> list:
-        block_size = block_size or self._default_block_size()
-        return [(lo, min(lo + block_size, self.n_paths))
-                for lo in range(0, self.n_paths, block_size)]
+    def _ranges(self) -> list:
+        bs = self._default_block_size()
+        return [(lo, min(lo + bs, self.n_paths)) for lo in range(0, self.n_paths, bs)]
 
-    def _stream(self, lo: int, hi: int, observers) -> np.ndarray:
-        """Hand paths lo..hi-1 to observers; returns their absorption times."""
-        if not self.is_materialized:
-            return self._recipe.stream(lo, hi, observers)
-        _feed_arrays(self._states[lo:hi], self._step_variance[lo:hi], observers)
-        return self._absorption_time[lo:hi]
-
-    def _get_block(self, lo: int, hi: int) -> _Block:
+    def _get_block(self, lo: int, hi: int) -> _Stored:
         if self.is_materialized:
-            return _Block(lo, hi, self._states[lo:hi],
-                          self._step_variance[lo:hi],
-                          self._absorption_time[lo:hi])
-        store = _Store(np.empty((hi - lo, self.n_times) + np.shape(self.x0)),
-                       np.empty((hi - lo, self.n_steps)))
-        abst = self._recipe.stream(lo, hi, [store])
-        return _Block(lo, hi, store.states, store.step_variance, abst)
+            return self._recipe.rows(lo, hi)    # views: the export read-back copies nothing
+        n = hi - lo
+        if (1 + np.size(self.x0)) * n * self.n_times > DENSE_ELEMENT_LIMIT:
+            raise MemoryError("ensemble too large to materialize; "
+                              "use iter_blocks/reduce_paths")
+        blk = _Stored(self.times, lo, hi, np.empty((n, self.n_times) + np.shape(self.x0)),
+                      np.empty((n, self.n_steps)), np.empty(n))
+        # materialize asks for all paths at once; they are stepped in blocks
+        bs = self._default_block_size()
+        for i in range(0, n, bs):
+            part = blk.rows(i, min(i + bs, n))
+            part.absorption_time[:] = self._recipe.stream(part.lo, part.hi, [part])
+        return blk
 
-    def iter_blocks(self, block_size: Optional[int] = None) -> Iterator[_Block]:
-        for lo, hi in self._ranges(block_size):
+    def iter_blocks(self) -> Iterator[_Stored]:
+        for lo, hi in self._ranges():
             yield self._get_block(lo, hi)
 
-    def _map_blocks(self, work: Callable[[int, int], np.ndarray],
-                    block_size: Optional[int]) -> np.ndarray:
+    def _map_blocks(self, work: Callable[[int, int], np.ndarray]) -> np.ndarray:
         """work(lo, hi) for every block, assembled into one row per path.
 
         With several blocks and workers, every block goes to the pool;
         each result lands in its own path range, so scheduling cannot
         change the result.
         """
-        ranges = self._ranges(block_size)
+        ranges = self._ranges()
         workers = min(get_max_workers(), len(ranges))
         out = None
         with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -370,44 +356,27 @@ class PathEnsemble:
                 out[lo:hi] = part
         return out
 
-    def reduce_paths(self, fn: Callable[[_Block], np.ndarray],
-                     block_size: Optional[int] = None) -> np.ndarray:
+    def reduce_paths(self, fn: Callable[[_Stored], np.ndarray]) -> np.ndarray:
         """Apply fn to each full block, assembling one row per path.
 
         fn returns an array whose leading axis is the block's path axis.
         """
-        return self._map_blocks(lambda lo, hi: fn(self._get_block(lo, hi)),
-                                block_size)
+        return self._map_blocks(lambda lo, hi: fn(self._get_block(lo, hi)))
 
-    def observe(self, make_observer: Callable[[int], object],
-                block_size: Optional[int] = None) -> np.ndarray:
+    def observe(self, make_observer: Callable[[int], object]) -> np.ndarray:
         """Stream every block through make_observer(bs); one result row per path.
 
-        Blocks of a streaming recipe are never stored whole; blocks of
-        arrays are fed to the observer from time-major slices.
+        A block is never stored whole for this: a stepping recipe hands
+        over its chunk buffers, stored paths time-major slices of them.
         """
         def work(lo, hi):
             obs = make_observer(hi - lo)
-            return obs.result(self._stream(lo, hi, [obs]))
+            return obs.result(self._recipe.stream(lo, hi, [obs]))
 
-        return self._map_blocks(work, block_size)
+        return self._map_blocks(work)
 
     def materialize(self) -> "PathEnsemble":
-        if self.is_materialized:
-            return self
-        if (1 + np.size(self.x0)) * self.n_paths * self.n_times > DENSE_ELEMENT_LIMIT:
-            raise MemoryError("ensemble too large to materialize; "
-                              "use iter_blocks/reduce_paths")
-        states = np.empty((self.n_paths, self.n_times) + np.shape(self.x0))
-        stepvar = np.empty((self.n_paths, self.n_steps))
-        abst = np.empty(self.n_paths)
-        for lo, hi in self._ranges(None):
-            abst[lo:hi] = self._recipe.stream(
-                lo, hi, [_Store(states[lo:hi], stepvar[lo:hi])])
-        self._states = states
-        self._step_variance = stepvar
-        self._absorption_time = abst
-        self._recipe = None
+        self._recipe = self._get_block(0, self.n_paths)
         return self
 
     # -- construction helpers ---------------------------------------------
@@ -419,13 +388,21 @@ class PathEnsemble:
         times = np.asarray(times, dtype=float)
         states = np.atleast_2d(np.asarray(states, dtype=float))
         step_variance = np.atleast_2d(np.asarray(step_variance, dtype=float))
-        if x0 is None:
-            x0 = float(states[0, 0])
-        if t0 is None:
-            t0 = float(times[0])
-        return cls(times, states.shape[0], master_seed, scheme, x0, t0, eps,
-                   states=states, step_variance=step_variance,
-                   absorption_time=absorption_time)
+        n = len(states)
+        abst = (np.full(n, np.nan) if absorption_time is None
+                else np.asarray(absorption_time, dtype=float))
+        if n == 0:
+            raise ValueError("ensemble needs at least one path")
+        if states.shape[:2] != (n, times.size):
+            raise ValueError("states shape does not match grid")
+        if step_variance.shape != (n, times.size - 1):
+            raise ValueError("step_variance shape does not match grid")
+        if abst.shape != (n,):
+            raise ValueError("absorption_time needs one entry per path")
+        return cls(times, n, master_seed, scheme,
+                   float(states[0, 0]) if x0 is None else x0,
+                   times[0] if t0 is None else t0, eps,
+                   _Stored(times, 0, n, states, step_variance, abst))
 
     # -- serialization ----------------------------------------------------
 
@@ -506,9 +483,8 @@ class PathEnsemble:
             scheme = fh.read(slen).decode("utf-8")
             times = np.fromfile(fh, dtype="<f8", count=n_times)
             rec = np.fromfile(fh, dtype=_record_dtype(n_times), count=n_paths)
-        return cls(times, n_paths, seed, scheme, x0, t0, eps,
-                   states=rec["states"], step_variance=rec["step_variance"],
-                   absorption_time=rec["absorption"])
+        return cls(times, n_paths, seed, scheme, x0, t0, eps, _Stored(
+            times, 0, n_paths, rec["states"], rec["step_variance"], rec["absorption"]))
 
 
 # magic, version, n_paths, n_times, master_seed, x0, t0, eps, scheme length

@@ -431,8 +431,7 @@ class _CostToUnitQv:
 
 def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
                       sigma_min: float, sigma_max: float, dt: float = 1e-3,
-                      horizon: Optional[float] = None,
-                      block_size: int = 8192):
+                      horizon: Optional[float] = None):
     """Both sides of h(W|Q) for Q the law of dX = sigma(X) dB.
 
     lhs: (1/2) E over Brownian paths Y of
@@ -467,7 +466,7 @@ def reciprocity_check(sigma: Callable, x0: float, n_paths: int, seed: int, *,
         times = dt * np.arange(n_steps + 1)
         recipe = _EulerRecipe(times, x0, seed, _sde_step(sigma, scale))
         return PathEnsemble(times, n_paths, seed, "reciprocity", x0, 0.0, 0.0,
-                            recipe=recipe).observe(make_observer, block_size)
+                            recipe=recipe).observe(make_observer)
 
     rhs_vals = observe(math.ceil(horizon / dt), seed, lambda k, s, var: np.sqrt(var * dt),
                        lambda bs: _CostToUnitQv(dt, bs))

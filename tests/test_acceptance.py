@@ -403,14 +403,14 @@ def test_criterion_13_property_suites():
     # simulator invariants on a fresh small ensemble
     ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=500, seed=990,
                              policy=StepPolicy(base_dt=2e-3)).materialize()
-    checks["paths in [0,1]"] = bool(np.all((ens._states >= 0) & (ens._states <= 1)))
+    checks["paths in [0,1]"] = bool(np.all((ens.states >= 0) & (ens.states <= 1)))
     frozen_ok = True
     for i in range(ens.n_paths):
-        at = ens._absorption_time[i]
+        at = ens.absorption_time[i]
         if np.isnan(at):
             continue
         kk = int(np.searchsorted(ens.times, at))
-        frozen_ok = frozen_ok and bool(np.all(ens._states[i, kk:] == ens._states[i, kk]))
+        frozen_ok = frozen_ok and bool(np.all(ens.states[i, kk:] == ens.states[i, kk]))
     checks["absorption frozen"] = frozen_ok
 
     ok = all(checks.values())

@@ -163,7 +163,7 @@ def test_simplex_step_variance_is_trace_until_a_vertex():
     trace = (x * (1.0 - x)).sum(axis=-1) / (1.0 - ens.times[:-1])
     at_vertex = ens.times[None, :-1] >= ens.absorption_time[:, None]   # False for NaN
     assert at_vertex.any() and not at_vertex.all()
-    assert np.allclose(ens._step_variance, np.where(at_vertex, 0.0, trace), rtol=1e-12)
+    assert np.allclose(ens.step_variance, np.where(at_vertex, 0.0, trace), rtol=1e-12)
 
 
 def test_exporters_refuse_simplex_ensembles_before_opening(tmp_path):

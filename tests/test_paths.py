@@ -119,7 +119,7 @@ def _count_philox(monkeypatch):
 
 
 def test_one_philox_per_single_panel_block(monkeypatch):
-    dense = _inv_ensemble("materialized")._states
+    dense = _inv_ensemble("materialized").states
     ens = _inv_ensemble("lazy")
     made = _count_philox(monkeypatch)
     monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 5)
@@ -160,8 +160,8 @@ def test_two_workers_draw_single_panel_blocks_bit_identically(monkeypatch):
     set_max_workers(2)
     got = lazy.observe(make_observer)
     assert len(seen) == 4 and len(set(seen)) == 2 and len(made) == 4
-    assert got[:, :-1].tobytes() == dense._states.tobytes()
-    assert np.array_equal(got[:, -1], dense._absorption_time, equal_nan=True)
+    assert got[:, :-1].tobytes() == dense.states.tobytes()
+    assert np.array_equal(got[:, -1], dense.absorption_time, equal_nan=True)
 
 
 def test_panel_steps_are_whole_chunks_within_budget(monkeypatch):
@@ -180,17 +180,14 @@ def test_panel_steps_are_whole_chunks_within_budget(monkeypatch):
 def test_ensemble_validation():
     times = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):
-        PathEnsemble(times, 0, 0, "s", 0.5, 0.0, 0.0,
-                     states=np.zeros((0, 5)), step_variance=np.zeros((0, 4)))
+        PathEnsemble.from_arrays(times, np.zeros((0, 5)), np.zeros((0, 4)))
     with pytest.raises(ValueError):
-        PathEnsemble(times, 2, 0, "s", 0.5, 0.0, 0.0,
-                     states=np.zeros((2, 4)), step_variance=np.zeros((2, 4)))
+        PathEnsemble.from_arrays(times, np.zeros((2, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
-        PathEnsemble(times[::-1], 1, 0, "s", 0.5, 0.0, 0.0,
-                     states=np.zeros((1, 5)), step_variance=np.zeros((1, 4)))
+        PathEnsemble.from_arrays(times[::-1], np.zeros((1, 5)), np.zeros((1, 4)))
 
 
-def test_lazy_blocks_match_materialized():
+def test_lazy_blocks_match_materialized(monkeypatch):
     # the same recipe streamed block by block and materialized agrees bit for bit
     ens = simulate_scaled_wf(0.4, eps=0.05, n_paths=300, seed=99,
                              policy=StepPolicy(base_dt=5e-3))
@@ -198,11 +195,15 @@ def test_lazy_blocks_match_materialized():
     def rows(blk):
         return np.column_stack([blk.states, blk.step_variance, blk.absorption_time])
 
-    lazy = {bs: ens.reduce_paths(rows, block_size=bs) for bs in (32, 77, 300)}
+    def reduce_in_blocks_of(bs):
+        monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: bs)
+        return ens.reduce_paths(rows)
+
+    lazy = {bs: reduce_in_blocks_of(bs) for bs in (32, 77, 300)}
     assert not ens.is_materialized
     ens.materialize()
     for bs, got in lazy.items():
-        assert got.tobytes() == ens.reduce_paths(rows, block_size=bs).tobytes()
+        assert got.tobytes() == reduce_in_blocks_of(bs).tobytes()
 
 
 _SIMULATIONS = {
@@ -218,15 +219,16 @@ _SIMULATIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SIMULATIONS))
-def test_simulators_return_recipes(name):
+def test_simulators_return_recipes(monkeypatch, name):
     ens = _SIMULATIONS[name]()
     assert not ens.is_materialized
-    blocks = list(ens.iter_blocks(block_size=2))
+    monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 2)
+    blocks = list(ens.iter_blocks())
     assert not ens.is_materialized
     ens.materialize()
     for field in ("states", "step_variance", "absorption_time"):
         streamed = np.concatenate([getattr(b, field) for b in blocks])
-        assert getattr(ens, "_" + field).tobytes() == streamed.tobytes(), field
+        assert getattr(ens, field).tobytes() == streamed.tobytes(), field
 
 
 def test_materialize_refuses_more_than_the_dense_limit():
@@ -249,7 +251,7 @@ def test_reduction_independent_of_workers():
 
 
 @pytest.mark.parametrize("n_blocks", [2, 3])
-def test_two_workers_run_every_block_on_the_pool(n_blocks):
+def test_two_workers_run_every_block_on_the_pool(monkeypatch, n_blocks):
     # the first two blocks meet at a barrier, which only two threads can pass
     ens = simulate_scaled_wf(0.5, eps=0.05, n_paths=3 * n_blocks, seed=8)
     barrier = threading.Barrier(2, timeout=10)
@@ -264,13 +266,14 @@ def test_two_workers_run_every_block_on_the_pool(n_blocks):
         return blk.states[:, -3:] * blk.step_variance[:, :1]
 
     parallel = False
+    monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 3)
     set_max_workers(1)
-    serial = ens.reduce_paths(fn, block_size=3)
+    serial = ens.reduce_paths(fn)
     assert len(set(seen)) == 1
     seen.clear()
     parallel = True
     set_max_workers(2)
-    pooled = ens.reduce_paths(fn, block_size=3)
+    pooled = ens.reduce_paths(fn)
     assert len(seen) == n_blocks and len(set(seen)) == 2
     assert pooled.tobytes() == serial.tobytes()
 
@@ -278,17 +281,17 @@ def test_two_workers_run_every_block_on_the_pool(n_blocks):
 def test_simulation_determinism_same_seed():
     a = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=5).materialize()
     b = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=5).materialize()
-    assert np.array_equal(a._states, b._states)
-    assert np.array_equal(a._step_variance, b._step_variance)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.step_variance, b.step_variance)
     c = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=6).materialize()
-    assert not np.array_equal(a._states, c._states)
+    assert not np.array_equal(a.states, c.states)
 
 
 def test_prefix_stability_across_ensemble_size():
     # per-path streams: the first paths do not depend on ensemble size
     a = simulate_scaled_wf(0.5, eps=0.05, n_paths=16, seed=11).materialize()
     b = simulate_scaled_wf(0.5, eps=0.05, n_paths=64, seed=11).materialize()
-    assert np.array_equal(a._states, b._states[:16])
+    assert np.array_equal(a.states, b.states[:16])
 
 
 def test_csv_roundtrip_content(tmp_path):
@@ -339,12 +342,12 @@ def _csv_case(draw):
 class _ArrayRecipe:
     """A streaming recipe that hands stored arrays to the observers."""
 
-    def __init__(self, states, step_variance):
-        self.states, self.step_variance = states, step_variance
+    def __init__(self, times, states, step_variance):
+        self.stored = paths._Stored(np.asarray(times), 0, len(states), states,
+                                    step_variance, np.full(len(states), np.nan))
 
     def stream(self, lo, hi, observers):
-        paths._feed_arrays(self.states[lo:hi], self.step_variance[lo:hi], observers)
-        return np.full(hi - lo, np.nan)
+        return self.stored.stream(lo, hi, observers)
 
 
 @settings(max_examples=300)
@@ -353,7 +356,7 @@ def test_csv_bytes_match_the_csv_module(case):
     times, states, stepvar, block, lazy, to_file = case
     if lazy:
         ens = PathEnsemble(times, len(states), 0, "s", 0.5, times[0], 0.0,
-                           recipe=_ArrayRecipe(states, stepvar))
+                           recipe=_ArrayRecipe(times, states, stepvar))
     else:
         ens = PathEnsemble.from_arrays(times, states, stepvar)
     # blocks of `block` paths, so path ids run on across blocks
@@ -388,7 +391,7 @@ def test_csv_writes_at_most_128_rows_of_one_path_at_a_time(monkeypatch):
                              policy=StepPolicy(base_dt=0.003, shrink=0.2))
     monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 4)
     n = ens.n_times
-    assert not ens.is_materialized and len(ens._ranges(None)) == 3 and n == 318
+    assert not ens.is_materialized and len(ens._ranges()) == 3 and n == 318
     rec = _RecordingFile()
     ens.to_csv(rec)
     ref = io.StringIO()
@@ -408,10 +411,10 @@ def test_binary_roundtrip(tmp_path):
     back = PathEnsemble.from_binary(out)
     ens.materialize()
     assert np.array_equal(back.times, ens.times)
-    assert np.array_equal(back._states, ens._states)
-    assert np.array_equal(back._step_variance, ens._step_variance)
-    assert np.array_equal(np.isnan(back._absorption_time),
-                          np.isnan(ens._absorption_time))
+    assert np.array_equal(back.states, ens.states)
+    assert np.array_equal(back.step_variance, ens.step_variance)
+    assert np.array_equal(np.isnan(back.absorption_time),
+                          np.isnan(ens.absorption_time))
     assert back.scheme == ens.scheme
     assert back.master_seed == ens.master_seed
     assert back.eps == ens.eps
@@ -602,7 +605,7 @@ def test_streamed_reductions_are_time_order_sums():
         for i in range(ens.n_paths):
             for j, f in enumerate(_INV_FS):
                 acc = 0.0
-                for c, wk in zip(f(ens._step_variance[i]), w):
+                for c, wk in zip(f(ens.step_variance[i]), w):
                     if wk > 0:
                         acc += c * wk
                 assert sums[i, j] == acc
@@ -610,22 +613,54 @@ def test_streamed_reductions_are_time_order_sums():
     spec = sums[:, 1]
     assert np.isinf(spec).any() and np.isfinite(spec).any()
     snaps = ens.observe(lambda bs: Snapshots([0, CHUNK_STEPS, ens.n_steps], bs))
-    assert np.array_equal(snaps[:, :3], ens._states[:, [0, CHUNK_STEPS, -1]])
-    assert np.array_equal(snaps[:, 3], ens._absorption_time, equal_nan=True)
+    assert np.array_equal(snaps[:, :3], ens.states[:, [0, CHUNK_STEPS, -1]])
+    assert np.array_equal(snaps[:, 3], ens.absorption_time, equal_nan=True)
 
 
-def test_reductions_independent_of_storage_blocks_and_workers(monkeypatch):
-    ref = _all_reductions(_inv_ensemble("materialized"))
+def _inv_storages(tmp_path):
+    """The _inv_ensemble paths as a recipe and as each kind of stored arrays."""
+    dense = _inv_ensemble("materialized")
+    dense.to_binary(tmp_path / "inv.bin")
+    return {"lazy": _inv_ensemble("lazy"), "materialized": dense,
+            "binary": PathEnsemble.from_binary(tmp_path / "inv.bin"),
+            "arrays": PathEnsemble.from_arrays(
+                dense.times, dense.states, dense.step_variance,
+                absorption_time=dense.absorption_time, master_seed=dense.master_seed,
+                x0=dense.x0, t0=dense.t0, eps=dense.eps)}
+
+
+def test_reductions_independent_of_storage_blocks_and_workers(tmp_path, monkeypatch):
+    def reductions(ens):
+        out = _all_reductions(ens)
+        # stops after the first chunk: later absorptions read NaN
+        out["early"] = ens.observe(lambda bs: Snapshots([5], bs))
+        return out
+
+    ref = reductions(_inv_ensemble("lazy"))
     assert ref["estimates"][1] == np.inf
-    for storage in ("lazy", "materialized"):
-        ens = _inv_ensemble(storage)
+    assert np.isnan(ref["early"][:, 1]).sum() > np.isnan(ref["snapshots"][:, -1]).sum()
+    for storage, ens in _inv_storages(tmp_path).items():
+        assert ens.is_materialized == (storage != "lazy")
         for bs in (1, 7, ens.n_paths):
             for workers in (1, 4):
                 monkeypatch.setattr(PathEnsemble, "_default_block_size",
                                     lambda self, bs=bs: bs)
                 set_max_workers(workers)
-                _assert_same(_all_reductions(ens), ref)
+                _assert_same(reductions(ens), ref)
         monkeypatch.undo()
+
+
+def test_from_arrays_refuses_mismatched_absorption_times_and_no_paths():
+    times, states, stepvar = np.linspace(0, 1, 5), np.full((5, 5), 0.5), np.full((5, 4), 0.25)
+    with pytest.raises(ValueError, match="absorption_time"):
+        PathEnsemble.from_arrays(times, states, stepvar, absorption_time=[0.3])
+    with pytest.raises(ValueError, match="absorption_time"):
+        PathEnsemble.from_arrays(times, states, stepvar, absorption_time=np.zeros((5, 1)))
+    for empty in (np.zeros((0, 5)), np.zeros(0)):
+        with pytest.raises(ValueError):
+            PathEnsemble.from_arrays(times, empty, np.zeros((0, 4)))
+    ens = PathEnsemble.from_arrays(times, states, stepvar, absorption_time=[0.3] * 5)
+    assert np.array_equal(ens.observe(lambda bs: Snapshots([4], bs))[:, 1], [0.3] * 5)
 
 
 @pytest.mark.parametrize("split", PANEL_SPLITS)
@@ -638,8 +673,8 @@ def test_reductions_independent_of_normals_panels(monkeypatch, split):
         ens = _inv_ensemble(storage)
         assert panel_steps(ens.n_paths, ens.n_steps) < ens.n_steps
         if storage == "materialized":
-            assert np.array_equal(ens._states, dense._states)
-            assert np.array_equal(ens._step_variance, dense._step_variance)
+            assert np.array_equal(ens.states, dense.states)
+            assert np.array_equal(ens.step_variance, dense.step_variance)
         for bs in (1, 7, ens.n_paths):
             monkeypatch.setattr(PathEnsemble, "_default_block_size",
                                 lambda self, bs=bs: bs)
@@ -772,9 +807,9 @@ def test_live_only_draws_change_no_result(tmp_path, monkeypatch, split):
         ens = _absorbing_ensemble(lazy)
         if not lazy:
             assert drew_fewer_than_every_path()
-            assert np.array_equal(ens._states, dense._states)
-            assert np.array_equal(ens._step_variance, dense._step_variance)
-            assert np.array_equal(ens._absorption_time, dense._absorption_time,
+            assert np.array_equal(ens.states, dense.states)
+            assert np.array_equal(ens.step_variance, dense.step_variance)
+            assert np.array_equal(ens.absorption_time, dense.absorption_time,
                                   equal_nan=True)
         _assert_same(_all_reductions(ens), ref)
     for name in ("scaled_adaptive", "standard"):

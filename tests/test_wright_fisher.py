@@ -23,16 +23,16 @@ FAST = StepPolicy(base_dt=2e-3)
 
 def test_scaled_wf_from_boundary_is_frozen():
     ens = simulate_scaled_wf(0.0, eps=0.1, n_paths=8, seed=1, policy=FAST).materialize()
-    assert np.all(ens._states == 0.0)
-    assert np.all(ens._step_variance == 0.0)
-    assert np.all(ens._absorption_time == 0.0)
+    assert np.all(ens.states == 0.0)
+    assert np.all(ens.step_variance == 0.0)
+    assert np.all(ens.absorption_time == 0.0)
 
 
 def test_scaled_wf_martingale_and_bounds():
     ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=4000, seed=20,
                              policy=FAST).materialize()
-    assert np.all(ens._states >= 0.0) and np.all(ens._states <= 1.0)
-    term = ens._states[:, -1]
+    assert np.all(ens.states >= 0.0) and np.all(ens.states <= 1.0)
+    term = ens.states[:, -1]
     se = term.std(ddof=1) / math.sqrt(ens.n_paths)
     assert abs(term.mean() - 0.5) <= 3.0 * se
 
@@ -40,14 +40,14 @@ def test_scaled_wf_martingale_and_bounds():
 def test_scaled_wf_absorption_is_permanent():
     ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=300, seed=3, policy=FAST).materialize()
     for i in range(ens.n_paths):
-        at = ens._absorption_time[i]
+        at = ens.absorption_time[i]
         if np.isnan(at):
             continue
         k = int(np.searchsorted(ens.times, at))
-        tail = ens._states[i, k:]
+        tail = ens.states[i, k:]
         assert np.all(tail == tail[0])
         assert tail[0] in (0.0, 1.0)
-        assert np.all(ens._step_variance[i, k:] == 0.0)
+        assert np.all(ens.step_variance[i, k:] == 0.0)
 
 
 def _clipping_wf_step(times, scaled):
@@ -98,7 +98,7 @@ def test_wf_step_matches_the_clipping_step(x0, scaled):
     def run(new_step):
         ens = we.PathEnsemble(times, n, seed, "wf", x0, 0.0, 0.0, recipe=wright_fisher._EulerRecipe(
             times, x0, seed, new_step(times, scaled))).materialize()
-        return ens._states, ens._step_variance, ens._absorption_time
+        return ens.states, ens.step_variance, ens.absorption_time
 
     got, want = run(wright_fisher._wf_step), run(_clipping_wf_step)
     for g, w in zip(got, want):
@@ -119,7 +119,7 @@ def test_scaled_wf_absorbed_fraction_grows_as_eps_shrinks():
     for eps in (1e-1, 1e-2, 1e-3):
         ens = simulate_scaled_wf(0.5, eps=eps, n_paths=2000, seed=4,
                                  policy=StepPolicy(base_dt=1e-3, shrink=0.05)).materialize()
-        fracs.append(np.isfinite(ens._absorption_time).mean())
+        fracs.append(np.isfinite(ens.absorption_time).mean())
     assert fracs[0] < fracs[1] < fracs[2]
     # terminal law is two-point, so nearly everything is absorbed late
     assert fracs[2] >= 0.97
@@ -129,14 +129,14 @@ def test_standard_wf_heterozygosity_decay():
     ens = simulate_standard_wf(0.5, 1.0, 1e-3, n_paths=4000, seed=5).materialize()
     for t in (0.5, 1.0):
         k = int(np.argmin(np.abs(ens.times - t)))
-        h = ens._states[:, k] * (1.0 - ens._states[:, k])
+        h = ens.states[:, k] * (1.0 - ens.states[:, k])
         se = h.std(ddof=1) / math.sqrt(ens.n_paths)
         assert abs(h.mean() - 0.25 * math.exp(-t)) <= 3.0 * se + 1e-3
 
 
 def test_standard_wf_zero_horizon():
     ens = simulate_standard_wf(0.3, 0.0, 1e-3, n_paths=6, seed=6).materialize()
-    assert np.all(ens._states == 0.3)
+    assert np.all(ens.states == 0.3)
 
 
 def test_simulator_validation():
@@ -163,8 +163,8 @@ def test_time_change_conjugation_moments():
     for tau, s in zip(taus, s_times):
         ks = int(np.argmin(np.abs(scaled.times - s)))
         kt = int(np.argmin(np.abs(standard.times - tau)))
-        a = scaled._states[:, ks]
-        b = standard._states[:, kt]
+        a = scaled.states[:, ks]
+        b = standard.states[:, kt]
         se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(4000)
         assert abs(a.mean() - b.mean()) <= 3.0 * se + 1e-3
         va, vb = a.var(ddof=1), b.var(ddof=1)
@@ -278,7 +278,7 @@ def test_generic_sde_brownian_quadratic_variation():
     ens = simulate_generic_sde(lambda x: np.ones_like(x), 0.0, 1.0, 1e-2,
                                n_paths=16, seed=14, sigma_min=1.0,
                                sigma_max=1.0).materialize()
-    qv = (ens._step_variance * np.diff(ens.times)).sum(axis=1)
+    qv = (ens.step_variance * np.diff(ens.times)).sum(axis=1)
     assert np.allclose(qv, 1.0, atol=1e-12)
 
 
@@ -286,10 +286,10 @@ def test_generic_sde_records_variance_exactly():
     sig = lambda x: 1.0 + 0.5 * np.sin(x)
     ens = simulate_generic_sde(sig, 0.0, 4.0, 1e-2, n_paths=8, seed=15,
                                sigma_min=0.5, sigma_max=1.5).materialize()
-    expect = sig(ens._states[:, :-1]) ** 2
-    assert np.array_equal(ens._step_variance, expect)
+    expect = sig(ens.states[:, :-1]) ** 2
+    assert np.array_equal(ens.step_variance, expect)
     # quadratic variation of every path exceeds 1 by the horizon rule
-    qv = (ens._step_variance * np.diff(ens.times)).sum(axis=1)
+    qv = (ens.step_variance * np.diff(ens.times)).sum(axis=1)
     assert np.all(qv >= 1.0)
 
 
@@ -348,8 +348,10 @@ RECIPROCITY_PINS = {
 
 def _pinned_reciprocity(key):
     x0, n, seed, dt, block = key
-    lhs, rhs = reciprocity_check(_sine, x0, n, seed, sigma_min=0.5,
-                                 sigma_max=1.5, dt=dt, block_size=block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths.PathEnsemble, "_default_block_size", lambda self: block)
+        lhs, rhs = reciprocity_check(_sine, x0, n, seed, sigma_min=0.5,
+                                     sigma_max=1.5, dt=dt)
     return lhs.value, rhs.value
 
 
