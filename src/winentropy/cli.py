@@ -11,7 +11,7 @@ parameter/validation error, 3 numerical failure.
 
 A flat key=value config file can preset any flag (--config): table
 defaults, then config, then explicit flags, so an explicit flag always
-wins.  `--threads` caps reduction workers for its own call only.
+wins.  `--threads` caps reduction worker processes for its own call only.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ _SIMPLEX = (("d", int, 2), ("x0", str, "0.3333333333333333,0.3333333333333333"))
 
 _HELP = {"out": "output artifact path", "format": "artifact format",
          "config": "flat key=value file supplying flag defaults",
-         "threads": "cap reduction worker threads (never changes results)"}
+         "threads": "cap reduction worker processes (never changes results)"}
 
 _TABLE = {}
 

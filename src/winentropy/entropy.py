@@ -142,7 +142,7 @@ class _StepSums:
         if acc is not self.acc:
             self.acc[:, cols] = acc
 
-    def result(self, absorption_time):
+    def result(self, absorption_time, times):
         return self.acc.T
 
 

@@ -220,7 +220,7 @@ class _MatrixCost:
         for k, row in zip(ks, integrand_reciprocal(lam).sum(axis=-1)):
             self.acc += row * self.w[k]
 
-    def result(self, absorption_time):
+    def result(self, absorption_time, times):
         return self.acc
 
 

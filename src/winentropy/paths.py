@@ -5,7 +5,7 @@ deterministic time grid; a state is a scalar, or a d-vector (x0.shape)
 for the simplex WF.  Per-path randomness comes from a counter-based
 generator keyed by (master_seed, path_index), so the same seed
 reproduces the same ensemble bit for bit, no matter how the paths are
-partitioned into blocks or how many worker threads reduce them.
+partitioned into blocks or how many worker processes reduce them.
 
 An ensemble holds a recipe that streams each block of paths through
 observers, time-major, one chunk of at most CHUNK_STEPS steps at a time.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -60,7 +59,7 @@ class NumericalError(RuntimeError):
 
 
 def set_max_workers(n: Optional[int]) -> None:
-    """Cap the number of threads used for block reductions (None = env/1)."""
+    """Cap the number of worker processes used for block reductions (None = env/1)."""
     global _MAX_WORKERS
     _MAX_WORKERS = n
 
@@ -184,13 +183,13 @@ ACCURATE_POLICY = StepPolicy(base_dt=1.25e-4, adaptive=True, shrink=0.01)
 # k0..k0+T-1 as a (T, bs) array, both buffers the caller reuses.  chunk
 # may return True once it needs no later chunk: a recipe stops after the
 # chunk for which every observer did, and each sees every chunk up to it.
-# Then result(absorption_time) returns the block's rows, one per path; an
-# absorption after the last node of the recipe's last chunk reads NaN.
+# Then result(absorption_time, times) returns the block's rows, one per
+# path; a path whose absorption the recipe did not reach reads NaN there.
 
 class Snapshots:
     """States at chosen grid nodes, then the absorption time: (bs, len(nodes)+1).
 
-    A recipe stops after the chunk that holds the last node, so later absorptions read NaN.
+    A recipe stops after the chunk that holds the last node; later absorptions read NaN.
     """
 
     def __init__(self, nodes, bs: int):
@@ -203,8 +202,9 @@ class Snapshots:
                 self.values[:, j] = states[k - k0]
         return max(self.nodes, default=np.inf) < k0 + len(states)
 
-    def result(self, absorption_time):
-        self.values[:, -1] = absorption_time
+    def result(self, absorption_time, times):
+        last = times[max(self.nodes, default=-1)]
+        self.values[:, -1] = np.where(absorption_time > last, np.nan, absorption_time)
         return self.values
 
 
@@ -253,9 +253,7 @@ class _Stored:
             sv = np.ascontiguousarray(self.step_variance[lo:hi, k0:k1].T)
             if all([obs.chunk(k0, st, sv) for obs in observers]):
                 break
-        # a recipe that stops at node k1 has seen no absorption after it
-        abst = self.absorption_time[lo:hi]
-        return np.where(abst > self.times[k1], np.nan, abst)
+        return self.absorption_time[lo:hi]
 
 
 class PathEnsemble:
@@ -266,7 +264,7 @@ class PathEnsemble:
     times: a simulator's stepping recipe, or the arrays (_Stored) that
     from_arrays, from_binary and materialize hold.  All reductions are
     computed per path and assembled in path order, so results do not
-    depend on block size, storage or thread count.
+    depend on block size, storage or worker count.
     """
 
     def __init__(self, times, n_paths, master_seed, scheme, x0, t0, eps, recipe):
@@ -314,8 +312,9 @@ class PathEnsemble:
         cap = int(33_000_000 // max(1, self.n_steps))
         return max(256, min(DEFAULT_BLOCK_SIZE, cap))
 
-    def _ranges(self) -> list:
-        bs = self._default_block_size()
+    def _ranges(self, workers: int = 1) -> list:
+        # w workers sweep at least w blocks, of 256 paths or more
+        bs = min(self._default_block_size(), max(256, -(-self.n_paths // workers)))
         return [(lo, min(lo + bs, self.n_paths)) for lo in range(0, self.n_paths, bs)]
 
     def _get_block(self, lo: int, hi: int) -> _Stored:
@@ -341,20 +340,33 @@ class PathEnsemble:
     def _map_blocks(self, work: Callable[[int, int], np.ndarray]) -> np.ndarray:
         """work(lo, hi) for every block, assembled into one row per path.
 
-        With several blocks and workers, every block goes to the pool;
-        each result lands in its own path range, so scheduling cannot
-        change the result.
+        With w > 1 workers, the blocks go round-robin to w groups: the
+        caller runs group 0, a forked child (_fork_group) each other one,
+        as threads would take turns on the GIL.  Each block's rows keep
+        their path range, so the partition cannot change the result.
         """
-        ranges = self._ranges()
-        workers = min(get_max_workers(), len(ranges))
-        out = None
-        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            parts = (pool.map if pool else map)(lambda r: np.asarray(work(*r)), ranges)
-            for (lo, hi), part in zip(ranges, parts):
-                if out is None:
-                    out = np.empty((self.n_paths,) + part.shape[1:], dtype=part.dtype)
-                out[lo:hi] = part
-        return out
+        import pickle
+        w = get_max_workers()
+        ranges = self._ranges(w)
+        w = min(w, len(ranges))
+        children, parts = [], [None] * len(ranges)
+        try:
+            for g in range(1, w):
+                children.append(_fork_group(work, ranges[g::w]))
+            parts[::w] = [np.asarray(work(*r)) for r in ranges[::w]]
+            for g, (pid, pipe) in enumerate(children, 1):
+                data = pipe.read()
+                rows = pickle.loads(data) if data else ChildProcessError(
+                    f"worker process {pid} ended without its rows")
+                if isinstance(rows, Exception):
+                    raise rows
+                parts[g::w] = rows
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, 9)     # SIGKILL; a child read to its end has exited
+                os.waitpid(pid, 0)
+        return np.concatenate(parts)
 
     def reduce_paths(self, fn: Callable[[_Stored], np.ndarray]) -> np.ndarray:
         """Apply fn to each full block, assembling one row per path.
@@ -371,7 +383,7 @@ class PathEnsemble:
         """
         def work(lo, hi):
             obs = make_observer(hi - lo)
-            return obs.result(self._recipe.stream(lo, hi, [obs]))
+            return obs.result(self._recipe.stream(lo, hi, [obs]), self.times)
 
         return self._map_blocks(work)
 
@@ -485,6 +497,29 @@ class PathEnsemble:
             rec = np.fromfile(fh, dtype=_record_dtype(n_times), count=n_paths)
         return cls(times, n_paths, seed, scheme, x0, t0, eps, _Stored(
             times, 0, n_paths, rec["states"], rec["step_variance"], rec["absorption"]))
+
+
+def _fork_group(work, ranges):
+    """(pid, read end) of a forked child that pickles [work(lo, hi) for ranges] into a pipe.
+
+    An exception is pickled in place of the rows; the child never returns.
+    """
+    import pickle
+    rfd, wfd = os.pipe()
+    reader = open(rfd, "rb")
+    with open(wfd, "wb") as pipe:   # so the caller's write end closes, even if fork fails
+        pid = os.fork()
+        if pid:
+            return pid, reader
+        try:
+            try:
+                rows = [np.asarray(work(*r)) for r in ranges]
+            except Exception as exc:
+                rows = exc
+            pipe.write(pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
+            pipe.flush()    # nothing, if rows do not pickle; os._exit flushes nothing
+        finally:
+            os._exit(0)
 
 
 # magic, version, n_paths, n_times, master_seed, x0, t0, eps, scheme length

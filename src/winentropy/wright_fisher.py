@@ -422,7 +422,7 @@ class _CostToUnitQv:
         self.running[cross] = False
         return not self.running.any()
 
-    def result(self, absorption_time):
+    def result(self, absorption_time, times):
         if self.running.any():
             raise NumericalError("some paths never exhausted quadratic "
                                  "variation 1; enlarge the horizon")

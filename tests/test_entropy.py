@@ -220,7 +220,7 @@ def test_step_sums_on_partly_live_chunks_are_time_order_sums(with_f0):
         for m in lengths:
             sums.chunk(k0, None, np.ascontiguousarray(sv[k0:k0 + m]))
             k0 += m
-        got = sums.result(None)
+        got = sums.result(None, None)
         assert got.tobytes() == want.tobytes(), lengths
 
 

@@ -4,7 +4,7 @@ import io
 import os
 import struct
 import tempfile
-import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -145,23 +145,26 @@ def test_two_workers_draw_single_panel_blocks_bit_identically(monkeypatch):
     assert panel_steps(3, lazy.n_steps) == lazy.n_steps
     monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 3)
     made = _count_philox(monkeypatch)
-    # the first two blocks meet at a barrier, which only two threads can pass
-    barrier = threading.Barrier(2, timeout=10)
-    seen, lock = [], threading.Lock()
 
-    def make_observer(bs):
-        with lock:
-            seen.append(threading.get_ident())
-            first_two = len(seen) <= 2
-        if first_two:
-            barrier.wait()
-        return Snapshots(range(lazy.n_times), bs)
+    class Tagged(Snapshots):
+        # a block's rows end with its pid and, on its first row, the
+        # generators it made: a child's count never reaches this process
+        def __init__(self, bs):
+            super().__init__(range(lazy.n_times), bs)
+            self.made_before = len(made)
 
-    set_max_workers(2)
-    got = lazy.observe(make_observer)
-    assert len(seen) == 4 and len(set(seen)) == 2 and len(made) == 4
-    assert got[:, :-1].tobytes() == dense.states.tobytes()
-    assert np.array_equal(got[:, -1], dense.absorption_time, equal_nan=True)
+        def result(self, absorption_time, times):
+            rows = super().result(absorption_time, times)
+            tags = np.zeros((len(rows), 2))
+            tags[:, 0], tags[0, 1] = os.getpid(), len(made) - self.made_before
+            return np.column_stack([rows, tags])
+
+    for workers, n_pids in [(1, 1), (2, 2)]:
+        set_max_workers(workers)
+        got = lazy.observe(Tagged)
+        assert len(set(got[:, -2])) == n_pids and got[:, -1].sum() == 4
+        assert got[:, :-3].tobytes() == dense.states.tobytes()
+        assert np.array_equal(got[:, -3], dense.absorption_time, equal_nan=True)
 
 
 def test_panel_steps_are_whole_chunks_within_budget(monkeypatch):
@@ -252,30 +255,106 @@ def test_reduction_independent_of_workers():
 
 @pytest.mark.parametrize("n_blocks", [2, 3])
 def test_two_workers_run_every_block_on_the_pool(monkeypatch, n_blocks):
-    # the first two blocks meet at a barrier, which only two threads can pass
+    # each block's rows end with the pid of the process that ran it
     ens = simulate_scaled_wf(0.5, eps=0.05, n_paths=3 * n_blocks, seed=8)
-    barrier = threading.Barrier(2, timeout=10)
-    seen, lock = [], threading.Lock()
 
     def fn(blk):
-        with lock:
-            seen.append(threading.get_ident())
-            first_two = len(seen) <= 2
-        if first_two and parallel:
-            barrier.wait()
-        return blk.states[:, -3:] * blk.step_variance[:, :1]
+        rows = blk.states[:, -3:] * blk.step_variance[:, :1]
+        return np.column_stack([rows, np.full(len(rows), os.getpid())])
 
-    parallel = False
     monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 3)
     set_max_workers(1)
     serial = ens.reduce_paths(fn)
-    assert len(set(seen)) == 1
-    seen.clear()
-    parallel = True
+    assert set(serial[:, -1]) == {os.getpid()}
     set_max_workers(2)
     pooled = ens.reduce_paths(fn)
-    assert len(seen) == n_blocks and len(set(seen)) == 2
-    assert pooled.tobytes() == serial.tobytes()
+    # dealt round-robin: the caller runs the even blocks, one child the odd
+    pids = pooled[::3, -1]
+    assert len(set(pids)) == 2 and pids[0] == os.getpid() != pids[1]
+    assert list(pids[::2]) == [os.getpid()] * len(pids[::2])
+    assert pooled[:, :-1].tobytes() == serial[:, :-1].tobytes()
+
+
+def test_two_workers_split_a_one_block_sweep_with_the_same_bits():
+    # 600 paths fit one block; w workers cut it into blocks of at least 256
+    ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=600, seed=23,
+                             policy=StepPolicy(base_dt=2e-3))
+    assert ens._ranges() == [(0, 600)]
+
+    def sweeps():
+        return [repr(p_quotient_profile(ens, [2.1, 2.01])),
+                repr(sigma_martingale_check(ens, [0.25, 0.5, 0.9])),
+                ens.reduce_paths(lambda blk: blk.states[:, ::7] * blk.step_variance[:, -1:])
+                .tobytes()]
+
+    ref, pids = None, {}
+    for workers in (1, 2, 4):
+        set_max_workers(workers)
+        pids[workers] = ens.reduce_paths(lambda blk: np.full(blk.hi - blk.lo, os.getpid()))
+        got = sweeps()
+        ref = ref or got
+        assert got == ref, workers
+    assert set(pids[1]) == {os.getpid()}
+    assert set(pids[2][:300]) == {os.getpid()} and len(set(pids[2][300:])) == 1
+    assert pids[2][300] != os.getpid()
+    assert len(set(pids[4])) == 3     # blocks of 256, 256 and 88
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [paths.NumericalError, ValueError])
+def test_an_error_in_a_childs_block_reaches_the_caller(monkeypatch, error):
+    ens = simulate_scaled_wf(0.5, eps=0.05, n_paths=6, seed=8)
+    monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 3)
+    set_max_workers(2)
+    caller = os.getpid()
+
+    def fn(blk):
+        if blk.lo and os.getpid() != caller:
+            raise error(f"block at {blk.lo}")
+        return blk.states
+
+    with pytest.raises(error, match="block at 3"):
+        ens.reduce_paths(fn)
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_without_its_rows_raises(monkeypatch):
+    ens = simulate_scaled_wf(0.5, eps=0.05, n_paths=6, seed=8)
+    monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 3)
+    set_max_workers(2)
+    caller = os.getpid()
+
+    def fn(blk):
+        if os.getpid() != caller:
+            os._exit(1)
+        return blk.states
+
+    with pytest.raises(ChildProcessError, match="ended without its rows"):
+        ens.reduce_paths(fn)
+    _assert_no_child_left()
+
+
+def test_an_error_in_the_callers_block_ends_the_children(monkeypatch):
+    ens = simulate_scaled_wf(0.5, eps=0.05, n_paths=9, seed=8)
+    monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self: 3)
+    set_max_workers(3)
+    caller = os.getpid()
+
+    def fn(blk):
+        if os.getpid() == caller:
+            raise paths.NumericalError("the caller's block failed")
+        time.sleep(60)      # a child left running would hold up the reaping
+        return blk.states
+
+    start = time.monotonic()
+    with pytest.raises(paths.NumericalError, match="caller's block"):
+        ens.reduce_paths(fn)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_simulation_determinism_same_seed():
@@ -707,8 +786,8 @@ def test_snapshots_stop_the_sweep_after_their_last_node(monkeypatch):
     got = ens.observe(lambda bs: Snapshots([250, 100], bs))
     assert [m for _, m in shapes] == [40] * 7
     assert np.array_equal(got[:, :2], full[:, [1, 0]])
-    # the absorption column stops with the sweep
-    stop = ens.times[280]
+    # the absorption column stops at the last node, not at its chunk's end
+    stop = ens.times[250]
     assert np.array_equal(got[:, 2], np.where(full[:, 3] <= stop, full[:, 3], np.nan),
                           equal_nan=True)
     assert np.isnan(got[:, 2]).sum() > np.isnan(full[:, 3]).sum()
@@ -717,6 +796,20 @@ def test_snapshots_stop_the_sweep_after_their_last_node(monkeypatch):
     assert np.array_equal(ens.observe(lambda bs: Snapshots([], bs))[:, 0], full[:, 3],
                           equal_nan=True)
     assert len(shapes) == 17
+
+
+def test_early_snapshots_absorption_column_ignores_block_size_and_workers(monkeypatch):
+    # blocks above 256 paths step in shorter chunks, so a sweep stopped at
+    # node 5 runs to a chunk end that depends on the block size
+    ens = simulate_scaled_wf(0.5, eps=1e-2, n_paths=600, seed=3,
+                             policy=StepPolicy(base_dt=2e-3))
+    got = set()
+    for bs in (600, 300, 100):
+        monkeypatch.setattr(PathEnsemble, "_default_block_size", lambda self, bs=bs: bs)
+        for workers in (1, 2):
+            set_max_workers(workers)
+            got.add(ens.observe(lambda n: Snapshots([5], n)).tobytes())
+    assert len(got) == 1
 
 
 # -- absorbed paths cost nothing ---------------------------------------------
